@@ -14,15 +14,11 @@ from .core import (
     MAX_FRAME_SIZE,
     Frame,
     MassFunction,
-    SubsetAlgebra,
     SubsetMask,
     bpa_equal,
     make_bpa,
     make_frame,
-    parse_subset,
-    render_subset,
     set_to_text,
-    subset_algebra,
     vacuous_bpa,
 )
 from .document import BpaDocument
@@ -93,13 +89,9 @@ __all__ = [
     "MASS_SUM_RENORMALIZE_TOL",
     "Frame",
     "MassFunction",
-    "SubsetAlgebra",
     "SubsetMask",
     "make_frame",
-    "parse_subset",
-    "render_subset",
     "set_to_text",
-    "subset_algebra",
     "make_bpa",
     "bpa_equal",
     "vacuous_bpa",

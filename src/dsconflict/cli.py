@@ -14,13 +14,11 @@ or out-of-reach computations (total conflict, frame caps).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from typing import NoReturn, Sequence
 
 from .core import make_frame
-from .document import BpaDocument, dump, dumps, load
+from .document import BpaDocument, _write_atomic, dump, dumps, load
 from .errors import ComputationError, ValidationError
 from .fusion import combine_dempster
 from .measures import ConflictReport, conflict_report, gram_positive_definite
@@ -45,19 +43,8 @@ class _Parser(argparse.ArgumentParser):
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-        return
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dsconflict-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    else:
+        _write_atomic(path, text)
 
 
 def _render_report(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateLabelError,
@@ -29,13 +29,9 @@ __all__ = [
     "MASS_SUM_ACCEPT_TOL",
     "MASS_SUM_RENORMALIZE_TOL",
     "SubsetMask",
-    "SubsetAlgebra",
     "Frame",
     "MassFunction",
     "make_frame",
-    "parse_subset",
-    "render_subset",
-    "subset_algebra",
     "make_bpa",
     "bpa_equal",
     "vacuous_bpa",
@@ -53,15 +49,6 @@ MASS_SUM_RENORMALIZE_TOL = 1e-6
 
 #: A subset of a frame, encoded as a bit mask.
 SubsetMask = int
-
-
-class SubsetAlgebra(NamedTuple):
-    """Intersection/union of one pair of subsets, with cardinalities."""
-
-    intersection: SubsetMask
-    union: SubsetMask
-    card_intersection: int
-    card_union: int
 
 
 @dataclass(frozen=True)
@@ -134,7 +121,7 @@ class Frame:
             yield 1 << i
 
     def _check_mask(self, mask: SubsetMask) -> None:
-        if not isinstance(mask, int) or mask < 0 or mask > self.full_mask:
+        if type(mask) is not int or not 0 <= mask <= self.full_mask:
             raise UnknownLabelError(
                 f"mask {mask!r} does not denote a subset of this frame"
             )
@@ -151,22 +138,7 @@ class MassFunction:
     __slots__ = ("_frame", "_focal")
 
     def __init__(self, frame: Frame, masses: Mapping[SubsetMask, float]):
-        focal: dict[SubsetMask, float] = {}
-        for mask, value in masses.items():
-            frame._check_mask(mask)
-            value = float(value)
-            if value < 0.0:
-                raise NegativeMassError(
-                    f"mass {value!r} on {set_to_text(frame, mask)} is negative"
-                )
-            if value == 0.0:
-                continue
-            if mask == 0:
-                raise EmptySetMassError(
-                    "positive mass on the empty set is not allowed"
-                )
-            focal[mask] = focal.get(mask, 0.0) + value
-        total = math.fsum(focal.values())
+        focal, total = _focal_masses(frame, masses.items())
         if abs(total - 1.0) > MASS_SUM_ACCEPT_TOL:
             raise UnnormalizedMassError(
                 f"masses sum to {total!r}, expected 1"
@@ -218,16 +190,6 @@ def make_frame(labels: Iterable[str]) -> Frame:
     return Frame(tuple(labels))
 
 
-def parse_subset(frame: Frame, members: Iterable[str]) -> SubsetMask:
-    """Resolve a collection of labels to its subset mask."""
-    return frame.subset(members)
-
-
-def render_subset(frame: Frame, mask: SubsetMask) -> tuple[str, ...]:
-    """The labels of a subset, in frame order."""
-    return frame.members(mask)
-
-
 def set_to_text(frame: Frame, mask: SubsetMask) -> str:
     """Human-readable form of a subset, e.g. ``{A1, A2}``."""
     if mask == 0:
@@ -235,13 +197,6 @@ def set_to_text(frame: Frame, mask: SubsetMask) -> str:
     if mask == frame.full_mask:
         return "Theta"
     return "{" + ", ".join(frame.members(mask)) + "}"
-
-
-def subset_algebra(a: SubsetMask, b: SubsetMask) -> SubsetAlgebra:
-    """Intersection, union and their cardinalities for one subset pair."""
-    inter = a & b
-    union = a | b
-    return SubsetAlgebra(inter, union, inter.bit_count(), union.bit_count())
 
 
 def make_bpa(
@@ -254,13 +209,34 @@ def make_bpa(
     A total within :data:`MASS_SUM_RENORMALIZE_TOL` of 1 is renormalized;
     totals further off raise :class:`UnnormalizedMassError`.
     """
-    masses: dict[SubsetMask, float] = {}
-    for members, value in assignments:
-        mask = frame.subset(members)
-        value = float(value)
-        if value < 0.0:
+    return _bpa_from_masks(
+        frame, ((frame.subset(members), value) for members, value in assignments)
+    )
+
+
+def _focal_masses(
+    frame: Frame, entries: Iterable[tuple[SubsetMask, float]]
+) -> tuple[dict[SubsetMask, float], float]:
+    """Apply the BPA rules to ``(mask, mass)`` entries, one entry at a time.
+
+    This is the only place the rules are written: a mask is a plain ``int``
+    (not a ``bool``) subset of the frame, a mass is a finite number >= 0,
+    zero masses are dropped, positive mass on the empty set is rejected and
+    duplicate subsets are merged by summing.  Returns the focal elements and
+    their ``fsum`` total; the sum tolerance is the caller's.
+    """
+    focal: dict[SubsetMask, float] = {}
+    for mask, value in entries:
+        frame._check_mask(mask)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf if value > 0 else -math.inf
+        # NaN fails the comparison too: no separate NaN test is needed.
+        if not 0.0 <= value < math.inf:
+            problem = "is negative" if value < 0.0 else "is not a finite number"
             raise NegativeMassError(
-                f"mass {value!r} on {set_to_text(frame, mask)} is negative"
+                f"mass {value!r} on {set_to_text(frame, mask)} {problem}"
             )
         if value == 0.0:
             continue
@@ -268,14 +244,27 @@ def make_bpa(
             raise EmptySetMassError(
                 "positive mass on the empty set is not allowed"
             )
-        masses[mask] = masses.get(mask, 0.0) + value
-    total = math.fsum(masses.values())
+        focal[mask] = focal.get(mask, 0.0) + value
+    try:
+        total = math.fsum(focal.values())
+    except OverflowError:  # finite masses whose sum is not
+        total = math.inf
+    return focal, total
+
+
+def _bpa_from_masks(
+    frame: Frame, entries: Iterable[tuple[SubsetMask, float]]
+) -> MassFunction:
+    """:func:`make_bpa` on ``(mask, mass)`` entries whose labels are resolved."""
+    focal, total = _focal_masses(frame, entries)
     deviation = abs(total - 1.0)
     if deviation > MASS_SUM_RENORMALIZE_TOL:
         raise UnnormalizedMassError(f"masses sum to {total!r}, expected 1")
     if deviation > MASS_SUM_ACCEPT_TOL:
-        masses = {mask: value / total for mask, value in masses.items()}
-    return MassFunction(frame, masses)
+        focal = {mask: value / total for mask, value in focal.items()}
+    bpa = MassFunction.__new__(MassFunction)  # validated above: skip __init__
+    bpa._frame, bpa._focal = frame, focal
+    return bpa
 
 
 def bpa_equal(m1: MassFunction, m2: MassFunction, tol: float = 1e-12) -> bool:

@@ -10,10 +10,12 @@ The document layout::
       ]
     }
 
-Parsing is strict: unknown keys, wrong types, unknown labels, negative or
-unnormalized masses all raise :class:`~dsconflict.errors.DocumentError` whose
-``where`` attribute points at the offending element
-(``bpas[1].masses[0].mass`` and the like).
+Parsing is strict: unknown keys, wrong types, unknown labels, negative,
+non-finite or unnormalized masses all raise
+:class:`~dsconflict.errors.DocumentError` whose ``where`` attribute points at
+the offending element (``bpas[1].masses[0].mass`` and the like).  The mass
+rules themselves are :mod:`dsconflict.core`'s; this module checks the layout
+and maps each rule's error to its position.
 """
 
 from __future__ import annotations
@@ -22,10 +24,18 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .core import Frame, MassFunction, make_bpa, make_frame
-from .errors import DocumentError, UnknownLabelError, ValidationError
+from .core import Frame, MassFunction, _bpa_from_masks, make_frame
+from .core import make_bpa  # noqa: F401  wrapped by perfbench/spans.py when tracing
+from .errors import (
+    DocumentError,
+    EmptySetMassError,
+    NegativeMassError,
+    UnknownLabelError,
+    UnnormalizedMassError,
+    ValidationError,
+)
 
 __all__ = ["BpaDocument", "loads", "load", "dumps", "dump"]
 
@@ -90,13 +100,13 @@ def _require_string(value: object, where: str) -> str:
     return value
 
 
-def _require_number(value: object, where: str) -> float:
+def _require_number(value: object, where: str) -> object:
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         where,
         "expected a number",
     )
-    return float(value)  # type: ignore[arg-type]
+    return value
 
 
 def _parse_frame(value: object) -> Frame:
@@ -114,31 +124,34 @@ def _parse_bpa(frame: Frame, value: object, where: str) -> tuple[str, MassFuncti
     entry = _require_object(value, where, ("name", "masses"))
     name = _require_string(entry["name"], f"{where}.name")
     items = _require_list(entry["masses"], f"{where}.masses")
-    assignments: list[tuple[tuple[str, ...], float]] = []
-    for j, item in enumerate(items):
-        spot = f"{where}.masses[{j}]"
-        record = _require_object(item, spot, ("set", "mass"))
-        members = _require_list(record["set"], f"{spot}.set")
-        labels = tuple(
-            _require_string(label, f"{spot}.set[{p}]")
-            for p, label in enumerate(members)
-        )
-        mass = _require_number(record["mass"], f"{spot}.mass")
-        try:
-            mask = frame.subset(labels)
-        except UnknownLabelError as exc:
-            raise DocumentError(f"{spot}.set", str(exc)) from exc
-        _require(mass >= 0.0, f"{spot}.mass", f"mass {mass!r} is negative")
-        if mass > 0.0 and mask == 0:
-            raise DocumentError(
-                f"{spot}.set", "positive mass on the empty set is not allowed"
-            )
-        assignments.append((labels, mass))
+    # The core validates each entry as it is drawn, so ``spot`` names the
+    # entry it rejects, or the whole list once every entry has been drawn.
+    spot = f"{where}.masses"
+
+    def masks_and_masses() -> Iterator[tuple[int, object]]:
+        nonlocal spot
+        for j, item in enumerate(items):
+            spot = f"{where}.masses[{j}]"
+            record = _require_object(item, spot, ("set", "mass"))
+            members = _require_list(record["set"], f"{spot}.set")
+            for p, label in enumerate(members):
+                _require_string(label, f"{spot}.set[{p}]")
+            mass = _require_number(record["mass"], f"{spot}.mass")
+            try:
+                mask = frame.subset(members)
+            except UnknownLabelError as exc:
+                raise DocumentError(f"{spot}.set", str(exc)) from exc
+            yield mask, mass
+        spot = f"{where}.masses"
+
     try:
-        bpa = make_bpa(frame, assignments)
-    except ValidationError as exc:
-        raise DocumentError(f"{where}.masses", f"BPA {name!r}: {exc}") from exc
-    return name, bpa
+        return name, _bpa_from_masks(frame, masks_and_masses())
+    except NegativeMassError as exc:
+        raise DocumentError(f"{spot}.mass", str(exc)) from exc
+    except EmptySetMassError as exc:
+        raise DocumentError(f"{spot}.set", str(exc)) from exc
+    except UnnormalizedMassError as exc:
+        raise DocumentError(spot, f"BPA {name!r}: {exc}") from exc
 
 
 def loads(text: str) -> BpaDocument:
@@ -149,6 +162,8 @@ def loads(text: str) -> BpaDocument:
         raise DocumentError(
             f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
+        raise DocumentError("", f"invalid JSON: {exc}") from exc
     root = _require_object(payload, "", ("frame", "bpas"))
     frame = _parse_frame(root["frame"])
     entries = _require_list(root["bpas"], "bpas")
@@ -197,10 +212,15 @@ def dumps(document: BpaDocument) -> str:
 
 def dump(document: BpaDocument, path: str | os.PathLike[str]) -> None:
     """Write a document file atomically (temp file + rename)."""
-    text = dumps(document)
+    _write_atomic(path, dumps(document))
+
+
+def _write_atomic(path: str | os.PathLike[str], text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same directory
+    and a rename, so readers never see a partly written file."""
     target = os.fspath(path)
     directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bpadoc-", suffix=".json")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dsconflict-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -56,7 +56,7 @@ class UnknownLabelError(ValidationError):
 
 
 class NegativeMassError(ValidationError):
-    """Mass assignments must be nonnegative."""
+    """Masses must be finite and nonnegative (NaN and infinities are rejected)."""
 
 
 class EmptySetMassError(ValidationError):

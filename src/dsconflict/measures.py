@@ -227,8 +227,10 @@ def liu_cf(m1: MassFunction, m2: MassFunction, epsilon: float) -> LiuConflict:
     """Liu's conflict model: in conflict iff both k and difBetP exceed epsilon."""
     epsilon = _check_threshold(epsilon)
     require_same_frame(m1, m2)
-    k = conflict_k(m1, m2)
-    db = dif_betp(m1, m2)
+    return _liu(conflict_k(m1, m2), dif_betp(m1, m2), epsilon)
+
+
+def _liu(k: float, db: float, epsilon: float) -> LiuConflict:
     return LiuConflict(
         k=k,
         dif_betp=db,
@@ -353,15 +355,7 @@ def conflict_report(
     db = dif_betp(m1, m2)
     r = correlation_coefficient(m1, m2)
     cor = song_cor(m1, m2) if frame.size <= SONG_COR_MAX_FRAME else None
-    liu = None
-    if epsilon is not None:
-        epsilon = _check_threshold(epsilon)
-        liu = LiuConflict(
-            k=k,
-            dif_betp=db,
-            epsilon=epsilon,
-            in_conflict=bool(k > epsilon and db > epsilon),
-        )
+    liu = None if epsilon is None else _liu(k, db, _check_threshold(epsilon))
     return ConflictReport(
         k=k, d_bba=d, dif_betp=db, cor=cor, r_bpa=r, k_r=1.0 - r, liu=liu
     )

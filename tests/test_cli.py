@@ -115,7 +115,7 @@ class TestCombine:
         combined = doc.bpa("m1+m2")
         # all surviving mass is on {A3}
         frame = doc.frame
-        mask = ds.parse_subset(frame, ["A3"])
+        mask = frame.subset(["A3"])
         assert abs(combined.mass(mask) - 1.0) <= 1e-9
 
     def test_total_conflict_exits_3(self):
@@ -238,3 +238,13 @@ class TestMalformedDocuments:
         result = run_cli("measure", "--input", path, "--pair", "m", "m")
         assert result.returncode == 2
         assert "line 1" in result.stderr
+
+    def test_mass_beyond_float_range_exits_2(self, tmp_path):
+        path = self.write(tmp_path, (
+            '{"frame": ["A1"], "bpas": [{"name": "m", "masses": ['
+            '{"set": ["A1"], "mass": 1' + "0" * 400 + '}]}]}'
+        ))
+        result = run_cli("measure", "--input", path, "--pair", "m", "m")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: bpas[0].masses[0].mass:")
+        assert result.stderr.count("\n") == 1

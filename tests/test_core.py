@@ -44,30 +44,19 @@ class TestFrame:
 class TestSubsets:
     def test_parse_and_render_roundtrip(self):
         frame = ds.make_frame(["a", "b", "c", "d"])
-        mask = ds.parse_subset(frame, ["d", "b"])
+        mask = frame.subset(["d", "b"])
         assert mask == 0b1010
-        assert ds.render_subset(frame, mask) == ("b", "d")
+        assert frame.members(mask) == ("b", "d")
 
     def test_parse_unknown_label(self):
         frame = ds.make_frame(["a", "b"])
         with pytest.raises(ds.UnknownLabelError):
-            ds.parse_subset(frame, ["a", "nope"])
+            frame.subset(["a", "nope"])
 
     def test_render_out_of_range_mask(self):
         frame = ds.make_frame(["a", "b"])
         with pytest.raises(ds.UnknownLabelError):
-            ds.render_subset(frame, 0b100)
-
-    def test_subset_algebra(self):
-        got = ds.subset_algebra(0b0110, 0b0011)
-        assert got == ds.SubsetAlgebra(0b0010, 0b0111, 1, 3)
-        assert got.intersection == 0b0010
-        assert got.union == 0b0111
-
-    def test_subset_algebra_disjoint(self):
-        got = ds.subset_algebra(0b100, 0b011)
-        assert got.card_intersection == 0
-        assert got.card_union == 3
+            frame.members(0b100)
 
     def test_set_to_text(self):
         frame = ds.make_frame(["a", "b"])
@@ -115,6 +104,10 @@ class TestMakeBpa:
         with pytest.raises(ds.UnknownLabelError):
             ds.make_bpa(self.frame, [(["z"], 1.0)])
 
+    def test_nan_mass(self):
+        with pytest.raises(ds.NegativeMassError, match="not a finite number"):
+            ds.make_bpa(self.frame, [(["a"], math.nan), (["b"], 1.0)])
+
     def test_sum_within_accept_band_kept_raw(self):
         masses = [(["a"], 0.5), (["b"], 0.5 + 4e-10)]
         m = ds.make_bpa(self.frame, masses)
@@ -153,6 +146,24 @@ class TestMassFunction:
         frame = ds.make_frame(["a", "b"])
         with pytest.raises(ds.UnknownLabelError):
             ds.MassFunction(frame, {0b101: 1.0})
+
+    def test_constructor_rejects_bool_mask(self):
+        frame = ds.make_frame(["a", "b"])
+        with pytest.raises(ds.UnknownLabelError):
+            ds.MassFunction(frame, {True: 1.0})
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"]
+    )
+    def test_constructor_rejects_non_finite(self, bad):
+        frame = ds.make_frame(["a", "b"])
+        with pytest.raises(ds.NegativeMassError, match="not a finite number"):
+            ds.MassFunction(frame, {0b01: bad, 0b10: 1.0})
+
+    def test_constructor_rejects_overflowing_sum(self):
+        frame = ds.make_frame(["a", "b"])
+        with pytest.raises(ds.UnnormalizedMassError):
+            ds.MassFunction(frame, {0b01: 1e308, 0b10: 1e308})
 
     def test_focal_view_is_readonly(self):
         frame = ds.make_frame(["a", "b"])

@@ -129,6 +129,24 @@ class TestLoads:
                 '{"set": ["A2"], "mass": -0.2}]}]}')
         assert where_of(document.loads, text) == "bpas[0].masses[1].mass"
 
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "huge-int"],
+    )
+    def test_non_finite_mass_position(self, literal):
+        text = ('{"frame": ["A1"], "bpas": [{"name": "m", "masses": ['
+                '{"set": ["A1"], "mass": %s}]}]}' % literal)
+        with pytest.raises(ds.DocumentError) as info:
+            document.loads(text)
+        assert info.value.where == "bpas[0].masses[0].mass"
+        assert "not a finite number" in info.value.message
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000, "[" * 100000], ids=["long-int", "deep-nesting"]
+    )
+    def test_json_beyond_parser_limits(self, text):
+        assert where_of(document.loads, text) == ""
+
     def test_empty_set_with_mass_position(self):
         text = ('{"frame": ["A1"], "bpas": [{"name": "m", "masses": ['
                 '{"set": [], "mass": 0.3}, {"set": ["A1"], "mass": 0.7}]}]}')

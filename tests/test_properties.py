@@ -7,6 +7,7 @@ distinct BPAs stay well separated from floating-point noise.
 
 from __future__ import annotations
 
+import json
 import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -235,3 +236,78 @@ class TestDocumentRoundTrip:
         assert again.frame == m1.frame
         assert ds.bpa_equal(again.bpa("m1"), m1, tol=0.0)
         assert ds.bpa_equal(again.bpa("m2"), m2, tol=0.0)
+
+
+def _assert_valid(m: ds.MassFunction) -> None:
+    full = m.frame.full_mask
+    for mask, value in m.items():
+        assert type(mask) is int and 0 < mask <= full
+        assert 0.0 < value < math.inf
+    assert abs(math.fsum(m.focal.values()) - 1.0) <= ds.MASS_SUM_ACCEPT_TOL
+
+
+# Masses that often make a valid BPA, mixed with NaN, infinities, subnormals,
+# values near the float limit and an integer beyond it.
+_MASSES = st.one_of(
+    st.sampled_from(
+        [0.0, 0.5, 1.0, math.nan, math.inf, -math.inf, 1.7e308, 10**400]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+# Any JSON value: wrong types, unknown labels, NaN and infinities (which
+# ``json`` writes as ``NaN``/``Infinity``), integers beyond the float range.
+_JSON = st.recursive(
+    st.sampled_from([None, True, 0, -1, 2, 10**400, -(10**400), 0.5,
+                     math.nan, -math.inf, "", "h1", "zz"]),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(["set", "mass", "name", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _mostly(valid):
+    """``valid`` seven times in eight, any JSON value otherwise, so that most
+    documents get deep enough for the mass rules to run."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else _JSON)
+
+
+def _fuzzed_documents():
+    entry = st.fixed_dictionaries({
+        "set": _mostly(
+            st.lists(_mostly(st.sampled_from(["h1", "h2", "h3"])), max_size=3)
+        ),
+        "mass": _mostly(_MASSES),
+    })
+    bpa = st.fixed_dictionaries({
+        "name": _mostly(st.sampled_from(["m1", "m2", "m3"])),
+        "masses": _mostly(st.lists(_mostly(entry), min_size=1, max_size=3)),
+    })
+    root = st.fixed_dictionaries({
+        "frame": _mostly(st.just(["h1", "h2", "h3"])),
+        "bpas": _mostly(st.lists(_mostly(bpa), min_size=1, max_size=2)),
+    })
+    return _mostly(root).map(json.dumps)
+
+
+class TestValidationNeverEscapes:
+    @given(
+        st.integers(1, 4),
+        st.dictionaries(st.integers(-1, 16) | st.booleans(), _MASSES, max_size=4),
+    )
+    def test_mass_function_valid_or_validation_error(self, size, masses):
+        frame = ds.make_frame(LABEL_POOL[:size])
+        try:
+            m = ds.MassFunction(frame, masses)
+        except ds.ValidationError:
+            return
+        _assert_valid(m)
+
+    @given(_fuzzed_documents())
+    def test_loads_valid_or_document_error(self, text):
+        try:
+            doc = ds.loads_document(text)
+        except ds.DocumentError:
+            return
+        for m in doc.bpas.values():
+            _assert_valid(m)
