@@ -26,26 +26,8 @@ from .document import dump as dump_document
 from .document import dumps as dumps_document
 from .document import load as load_document
 from .document import loads as loads_document
-from .errors import (
-    BadThresholdError,
-    BothEmptyError,
-    ComputationError,
-    DocumentError,
-    DuplicateLabelError,
-    EmptyFrameError,
-    EmptySetMassError,
-    EvidenceError,
-    FrameMismatchError,
-    FrameTooLargeError,
-    FrameTooLargeForCheckError,
-    FrameTooLargeForMeasureError,
-    InternalConsistencyError,
-    NegativeMassError,
-    TotalConflictError,
-    UnknownLabelError,
-    UnnormalizedMassError,
-    ValidationError,
-)
+from . import errors
+from .errors import *  # noqa: F403  the exception hierarchy, errors.__all__
 from .fusion import (
     TOTAL_CONFLICT_TOL,
     CombinationResult,
@@ -131,22 +113,5 @@ __all__ = [
     "sweep_rows",
     "sweep_csv",
     # errors
-    "EvidenceError",
-    "ValidationError",
-    "EmptyFrameError",
-    "DuplicateLabelError",
-    "FrameTooLargeError",
-    "UnknownLabelError",
-    "NegativeMassError",
-    "EmptySetMassError",
-    "UnnormalizedMassError",
-    "FrameMismatchError",
-    "BadThresholdError",
-    "DocumentError",
-    "ComputationError",
-    "TotalConflictError",
-    "BothEmptyError",
-    "FrameTooLargeForMeasureError",
-    "FrameTooLargeForCheckError",
-    "InternalConsistencyError",
+    *errors.__all__,
 ]

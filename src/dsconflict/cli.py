@@ -191,15 +191,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(code) if code is not None else EXIT_OK
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except ComputationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_COMPUTATION
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
 
 
 def main() -> None:

@@ -9,6 +9,7 @@ elements are stored).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -63,6 +64,7 @@ class Frame:
     _index: Mapping[str, int] = field(
         init=False, repr=False, compare=False, hash=False
     )
+    _full_mask: SubsetMask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -86,6 +88,7 @@ class Frame:
             index[label] = i
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", MappingProxyType(index))
+        object.__setattr__(self, "_full_mask", (1 << len(labels)) - 1)
 
     @property
     def size(self) -> int:
@@ -94,7 +97,7 @@ class Frame:
     @property
     def full_mask(self) -> SubsetMask:
         """The mask of the whole frame (theta)."""
-        return (1 << len(self.labels)) - 1
+        return self._full_mask
 
     def index(self, label: str) -> int:
         try:
@@ -121,7 +124,7 @@ class Frame:
             yield 1 << i
 
     def _check_mask(self, mask: SubsetMask) -> None:
-        if type(mask) is not int or not 0 <= mask <= self.full_mask:
+        if type(mask) is not int or not 0 <= mask <= self._full_mask:
             raise UnknownLabelError(
                 f"mask {mask!r} does not denote a subset of this frame"
             )
@@ -220,14 +223,19 @@ def _focal_masses(
     """Apply the BPA rules to ``(mask, mass)`` entries, one entry at a time.
 
     This is the only place the rules are written: a mask is a plain ``int``
-    (not a ``bool``) subset of the frame, a mass is a finite number >= 0,
-    zero masses are dropped, positive mass on the empty set is rejected and
-    duplicate subsets are merged by summing.  Returns the focal elements and
-    their ``fsum`` total; the sum tolerance is the caller's.
+    (not a ``bool``) subset of the frame, a mass is a real number (not a
+    ``bool``) that is finite and >= 0, zero masses are dropped, positive mass
+    on the empty set is rejected and duplicate subsets are merged by summing.
+    Returns the focal elements and their ``fsum`` total; the sum tolerance is
+    the caller's.
     """
     focal: dict[SubsetMask, float] = {}
     for mask, value in entries:
         frame._check_mask(mask)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise NegativeMassError(
+                f"mass {value!r} on {set_to_text(frame, mask)} is not a number"
+            )
         try:
             value = float(value)
         except OverflowError:  # an int beyond the float range

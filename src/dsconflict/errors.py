@@ -56,7 +56,8 @@ class UnknownLabelError(ValidationError):
 
 
 class NegativeMassError(ValidationError):
-    """Masses must be finite and nonnegative (NaN and infinities are rejected)."""
+    """Masses must be finite, nonnegative real numbers (NaN, infinities,
+    strings, ``None`` and ``bool`` are rejected)."""
 
 
 class EmptySetMassError(ValidationError):

@@ -1,9 +1,13 @@
-"""Dempster's rule of combination and the classical conflict coefficient."""
+"""Dempster's rule of combination, the classical conflict coefficient, and
+the one focal-pair kernel that every pairwise measure is built on."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
 
 from .core import MassFunction, SubsetMask, require_same_frame
 from .errors import TotalConflictError
@@ -18,6 +22,9 @@ __all__ = [
 #: Combination is refused when the normalization factor 1 - k is this small.
 TOTAL_CONFLICT_TOL = 1e-12
 
+#: Focal elements as parallel arrays: uint64 masks and float64 weights.
+_Focal = tuple[np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class CombinationResult:
@@ -27,15 +34,41 @@ class CombinationResult:
     k: float
 
 
+def _focal_arrays(focal: Mapping[SubsetMask, float]) -> _Focal:
+    """``mask -> weight`` entries as a uint64 mask array and a float64 array."""
+    n = len(focal)
+    return (
+        np.fromiter(focal.keys(), np.uint64, n),
+        np.fromiter(focal.values(), np.float64, n),
+    )
+
+
+def _pair_terms(x: _Focal, y: _Focal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one place focal-pair terms are formed: for every pair (A, B) of
+    ``x`` and ``y``, the intersection A & B, the product wx * wy and the
+    Jaccard-weighted product wx * wy * |A & B| / |A | B| (unions of focal
+    masks are nonempty).  Each is the IEEE product a per-pair loop gives."""
+    (xm, xw), (ym, yw) = x, y
+    inter = np.bitwise_and.outer(xm, ym)
+    weighted = np.bitwise_count(inter).astype(np.float64)
+    # The union temporary dies before ``prod`` exists: three arrays live.
+    weighted /= np.bitwise_count(np.bitwise_or.outer(xm, ym))
+    prod = np.multiply.outer(xw, yw)
+    weighted *= prod
+    return inter, prod, weighted
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """Correctly rounded, order-independent sum (a memoryview yields the
+    entries as Python floats without building a list)."""
+    return math.fsum(memoryview(terms.ravel()))
+
+
 def conflict_k(m1: MassFunction, m2: MassFunction) -> float:
     """Classical conflict: total product mass on disjoint focal pairs."""
     require_same_frame(m1, m2)
-    return math.fsum(
-        v1 * v2
-        for a, v1 in m1.items()
-        for b, v2 in m2.items()
-        if a & b == 0
-    )
+    inter, prod = _pair_terms(_focal_arrays(m1.focal), _focal_arrays(m2.focal))[:2]
+    return _fsum(prod[inter == 0])
 
 
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:
@@ -46,22 +79,21 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     ``1 - k <= TOTAL_CONFLICT_TOL``.
     """
     frame = require_same_frame(m1, m2)
-    # Collect every pairwise product per intersection and fsum at the end,
-    # which makes the result independent of focal iteration order.
-    products: dict[SubsetMask, list[float]] = {}
-    conflict: list[float] = []
-    for a, v1 in m1.items():
-        for b, v2 in m2.items():
-            inter = a & b
-            if inter == 0:
-                conflict.append(v1 * v2)
-            else:
-                products.setdefault(inter, []).append(v1 * v2)
-    k = math.fsum(conflict)
+    inter, prod = _pair_terms(_focal_arrays(m1.focal), _focal_arrays(m2.focal))[:2]
+    # Group the products by intersection and fsum each group: the result is
+    # independent of focal order, so the rule commutes exactly.
+    order = np.argsort(inter, axis=None)
+    keys = inter.ravel()[order]
+    values = memoryview(prod.ravel()[order])
+    k = math.fsum(values[: np.searchsorted(keys, 1)])  # disjoint pairs sort first
     scale = 1.0 - k
     if scale <= TOTAL_CONFLICT_TOL:
         raise TotalConflictError(k)
+    masks, starts = np.unique(keys, return_index=True)
+    bounds = starts.tolist() + [len(values)]
     masses = {
-        mask: math.fsum(values) / scale for mask, values in products.items()
+        mask: math.fsum(values[start:end]) / scale
+        for mask, start, end in zip(masks.tolist(), bounds, bounds[1:])
+        if mask
     }
     return CombinationResult(MassFunction(frame, masses), k)

@@ -2,9 +2,12 @@
 
 The pairwise measures all share one precondition: both BPAs must live on the
 same frame.  Everything that only depends on focal elements is evaluated
-sparsely (products over focal pairs); the two operations that genuinely range
-over the whole power set — the cosine measure :func:`song_cor` and the Gram
-matrix check — are capped at moderate frame sizes and vectorized with numpy.
+sparsely by one kernel, :func:`fusion._pair_terms`, over ``uint64`` mask and
+``float64`` mass arrays, and each result is one ``math.fsum``: bit-identical
+to a per-pair loop, so symmetric, with d(m, m) = 0 and r(m, m) = 1 exactly.
+The two operations that genuinely range over the whole power set — the cosine
+measure :func:`song_cor` and the Gram matrix check — are capped at moderate
+frame sizes and vectorized with numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     FrameTooLargeForMeasureError,
     InternalConsistencyError,
 )
-from .fusion import conflict_k
+from .fusion import _Focal, _focal_arrays, _fsum, _pair_terms, conflict_k
 
 __all__ = [
     "CLAMP_TOL",
@@ -87,22 +90,14 @@ def jaccard(a: SubsetMask, b: SubsetMask) -> float:
     return inter / (a | b).bit_count()
 
 
-def _jaccard_focal(a: SubsetMask, b: SubsetMask) -> float:
-    # Focal masks are nonempty by the MassFunction invariant.
-    inter = (a & b).bit_count()
-    if inter == 0:
-        return 0.0
-    return inter / (a | b).bit_count()
-
-
 def correlation_degree(m1: MassFunction, m2: MassFunction) -> float:
     """Jaccard-weighted product mass over all focal pairs."""
     require_same_frame(m1, m2)
-    return math.fsum(
-        v1 * v2 * _jaccard_focal(a, b)
-        for a, v1 in m1.items()
-        for b, v2 in m2.items()
-    )
+    return _degree(_focal_arrays(m1.focal), _focal_arrays(m2.focal))
+
+
+def _degree(x: _Focal, y: _Focal) -> float:
+    return _fsum(_pair_terms(x, y)[2])
 
 
 def correlation_coefficient(m1: MassFunction, m2: MassFunction) -> float:
@@ -111,9 +106,12 @@ def correlation_coefficient(m1: MassFunction, m2: MassFunction) -> float:
     1 exactly when the BPAs are equal, 0 exactly when every focal element of
     one is disjoint from every focal element of the other.
     """
-    c12 = correlation_degree(m1, m2)
-    c11 = correlation_degree(m1, m1)
-    c22 = correlation_degree(m2, m2)
+    require_same_frame(m1, m2)
+    x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
+    return _coefficient(_degree(x, y), _degree(x, x), _degree(y, y))
+
+
+def _coefficient(c12: float, c11: float, c22: float) -> float:
     if c11 <= 0.0 or c22 <= 0.0:
         raise InternalConsistencyError(
             f"self correlation degrees must be positive, got {c11!r}, {c22!r}"
@@ -129,22 +127,19 @@ def conflict_kr(m1: MassFunction, m2: MassFunction) -> float:
 def jousselme_distance(m1: MassFunction, m2: MassFunction) -> float:
     """Jousselme distance sqrt((x - y)' D (x - y) / 2) with D the Jaccard matrix.
 
-    Evaluated sparsely over the union of both focal supports; the omitted
-    coordinates of x - y are zero and contribute nothing.
+    Evaluated on the nonzero entries of x - y over the union of both focal
+    supports.  Forming x - y first keeps d(m, m) = 0 exactly and small
+    distances free of cancellation error.
     """
     require_same_frame(m1, m2)
-    support = sorted(m1.focal.keys() | m2.focal.keys())
-    diff = [m1.mass(a) - m2.mass(a) for a in support]
-    terms = []
-    for i, a in enumerate(support):
-        di = diff[i]
-        if di == 0.0:
-            continue
-        for j, b in enumerate(support):
-            dj = diff[j]
-            if dj != 0.0:
-                terms.append(di * dj * _jaccard_focal(a, b))
-    quad = math.fsum(terms)
+    f1, f2 = m1.focal, m2.focal
+    diff = {
+        a: d
+        for a in f1.keys() | f2.keys()
+        if (d := f1.get(a, 0.0) - f2.get(a, 0.0)) != 0.0
+    }
+    u = _focal_arrays(diff)
+    quad = _degree(u, u)
     if quad < 0.0:
         if quad < -CLAMP_TOL:
             raise InternalConsistencyError(
@@ -350,10 +345,12 @@ def conflict_report(
     it is only included when ``epsilon`` is given.
     """
     frame = require_same_frame(m1, m2)
-    k = conflict_k(m1, m2)
-    d = jousselme_distance(m1, m2)
+    d = jousselme_distance(m1, m2)  # first: its arrays are the largest
     db = dif_betp(m1, m2)
-    r = correlation_coefficient(m1, m2)
+    x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
+    inter, prod, weighted = _pair_terms(x, y)
+    k = _fsum(prod[inter == 0])
+    r = _coefficient(_fsum(weighted), _degree(x, x), _degree(y, y))
     cor = song_cor(m1, m2) if frame.size <= SONG_COR_MAX_FRAME else None
     liu = None if epsilon is None else _liu(k, db, _check_threshold(epsilon))
     return ConflictReport(

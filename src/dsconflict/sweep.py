@@ -68,18 +68,11 @@ def sweep_rows(size: int = DEFAULT_FRAME_SIZE) -> list[SweepRow]:
     frame = sweep_frame(size)
     theta = frame.labels
     m2 = make_bpa(frame, [(("1", "2", "3", "4", "5"), 1.0)])
+    fixed = [(("2", "3", "4"), 0.05), (("7",), 0.05), (theta, 0.1)]
     rows = []
     for upto in range(1, size + 1):
         prefix = theta[:upto]
-        m1 = make_bpa(
-            frame,
-            [
-                (("2", "3", "4"), 0.05),
-                (("7",), 0.05),
-                (theta, 0.1),
-                (prefix, 0.8),
-            ],
-        )
+        m1 = make_bpa(frame, fixed + [(prefix, 0.8)])
         rows.append(
             SweepRow(
                 label=format_subset_label(prefix),
@@ -100,15 +93,8 @@ def sweep_csv(rows: Sequence[SweepRow], precision: int = 4) -> str:
         ["A", "k_r", "d_bba", "k", "k_r_rounded", "d_bba_rounded", "k_rounded"]
     )
     for row in rows:
+        values = (row.k_r, row.d_bba, row.k)
         writer.writerow(
-            [
-                row.label,
-                repr(row.k_r),
-                repr(row.d_bba),
-                repr(row.k),
-                f"{row.k_r:.{precision}f}",
-                f"{row.d_bba:.{precision}f}",
-                f"{row.k:.{precision}f}",
-            ]
+            [row.label, *map(repr, values), *(f"{v:.{precision}f}" for v in values)]
         )
     return buffer.getvalue()

@@ -1,8 +1,15 @@
-"""Brute-force dense reference implementations.
+"""Brute-force reference implementations.
 
-Everything here takes the slow, obviously-correct path: full vectors and
+The dense oracles take the slow, obviously-correct path: full vectors and
 matrices over all 2^N - 1 nonempty subsets, no sparsity, a different popcount
 (`bin(x).count`), and matrix quadratic forms instead of focal-pair loops.
+They only reach small frames.
+
+The sparse oracles (``sparse_*``) are plain-Python double loops over focal
+pairs, one IEEE product per pair and one ``math.fsum`` per result.  They
+reach every frame size up to 63, and the production array kernel must match
+them exactly, not within a tolerance.
+
 The production code is tested against these, never the other way around.
 """
 
@@ -108,3 +115,58 @@ def song_cor(m1: MassFunction, m2: MassFunction) -> float:
 
 def gram_min_eigenvalue(n: int) -> float:
     return float(np.linalg.eigvalsh(jaccard_matrix(n)).min())
+
+
+def sparse_jaccard(a: int, b: int) -> float:
+    return popcount(a & b) / popcount(a | b)
+
+
+def sparse_conflict_k(m1: MassFunction, m2: MassFunction) -> float:
+    return math.fsum(
+        v1 * v2 for a, v1 in m1.items() for b, v2 in m2.items() if a & b == 0
+    )
+
+
+def sparse_correlation_degree(m1: MassFunction, m2: MassFunction) -> float:
+    return math.fsum(
+        v1 * v2 * sparse_jaccard(a, b)
+        for a, v1 in m1.items()
+        for b, v2 in m2.items()
+    )
+
+
+def sparse_correlation_coefficient(m1: MassFunction, m2: MassFunction) -> float:
+    c12 = sparse_correlation_degree(m1, m2)
+    c11 = sparse_correlation_degree(m1, m1)
+    c22 = sparse_correlation_degree(m2, m2)
+    return min(c12 / math.sqrt(c11 * c22), 1.0)
+
+
+def sparse_jousselme_distance(m1: MassFunction, m2: MassFunction) -> float:
+    """The quadratic form on the difference m1 - m2, over the union support."""
+    support = m1.focal.keys() | m2.focal.keys()
+    diff = [(a, m1.mass(a) - m2.mass(a)) for a in support]
+    quad = math.fsum(
+        di * dj * sparse_jaccard(a, b)
+        for a, di in diff
+        if di != 0.0
+        for b, dj in diff
+        if dj != 0.0
+    )
+    return math.sqrt(0.5 * max(quad, 0.0))
+
+
+def sparse_dempster(
+    m1: MassFunction, m2: MassFunction, tol: float = 1e-12
+) -> tuple[float, dict[int, float] | None]:
+    """Dempster's rule: ``(k, combined masses)``, or ``(k, None)`` when
+    ``1 - k <= tol`` (total conflict)."""
+    groups: dict[int, list[float]] = {}
+    for a, v1 in m1.items():
+        for b, v2 in m2.items():
+            groups.setdefault(a & b, []).append(v1 * v2)
+    k = math.fsum(groups.pop(0, []))
+    scale = 1.0 - k
+    if scale <= tol:
+        return k, None
+    return k, {mask: math.fsum(values) / scale for mask, values in groups.items()}

@@ -1,6 +1,7 @@
 """Frames, subset masks, and BPA construction."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,11 @@ class TestFrame:
     def test_value_equality(self):
         assert ds.make_frame(["a", "b"]) == ds.make_frame(["a", "b"])
         assert ds.make_frame(["a", "b"]) != ds.make_frame(["b", "a"])
+
+    def test_full_mask_at_the_cap(self):
+        frame = ds.make_frame(f"h{i}" for i in range(63))
+        assert frame.full_mask == (1 << 63) - 1
+        assert hash(frame) == hash(ds.make_frame(f"h{i}" for i in range(63)))
 
     def test_index_unknown_label(self):
         frame = ds.make_frame(["a", "b"])
@@ -108,6 +114,11 @@ class TestMakeBpa:
         with pytest.raises(ds.NegativeMassError, match="not a finite number"):
             ds.make_bpa(self.frame, [(["a"], math.nan), (["b"], 1.0)])
 
+    @pytest.mark.parametrize("bad", [[1], None, "1"], ids=["list", "none", "str"])
+    def test_non_number_mass(self, bad):
+        with pytest.raises(ds.NegativeMassError, match="is not a number"):
+            ds.make_bpa(self.frame, [(["a"], bad)])
+
     def test_sum_within_accept_band_kept_raw(self):
         masses = [(["a"], 0.5), (["b"], 0.5 + 4e-10)]
         m = ds.make_bpa(self.frame, masses)
@@ -159,6 +170,19 @@ class TestMassFunction:
         frame = ds.make_frame(["a", "b"])
         with pytest.raises(ds.NegativeMassError, match="not a finite number"):
             ds.MassFunction(frame, {0b01: bad, 0b10: 1.0})
+
+    @pytest.mark.parametrize(
+        "bad", ["1", None, [1], True], ids=["str", "none", "list", "bool"]
+    )
+    def test_constructor_rejects_non_number(self, bad):
+        frame = ds.make_frame(["a", "b"])
+        with pytest.raises(ds.NegativeMassError, match="is not a number"):
+            ds.MassFunction(frame, {0b11: bad})
+
+    def test_constructor_accepts_real_numbers(self):
+        frame = ds.make_frame(["a", "b"])
+        m = ds.MassFunction(frame, {0b01: Fraction(1, 4), 0b10: 3 / 4})
+        assert m.mass(0b01) == 0.25 and type(m.mass(0b01)) is float
 
     def test_constructor_rejects_overflowing_sum(self):
         frame = ds.make_frame(["a", "b"])

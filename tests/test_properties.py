@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dsconflict as ds
@@ -57,6 +58,36 @@ def bpa_triples(draw, max_size: int = 5, max_focals: int = 3):
 def single_bpas(draw, max_size: int = 6, max_focals: int = 4):
     frame = ds.make_frame(LABEL_POOL[: draw(st.integers(1, max_size))])
     return _mass_function(draw, frame, max_focals)
+
+
+@st.composite
+def wide_pairs(draw, sizes=st.integers(1, 8) | st.integers(25, 63) | st.just(63)):
+    """BPA pairs up to the largest frame, many masks using the top bit.
+
+    Sizes 9..24 are left out: ``conflict_report`` runs Song's cor there,
+    which enumerates the power set.  A small shared pool of masks makes
+    distinct focal pairs meet in the same intersection, so that Dempster's
+    rule sums groups of several products.
+    """
+    n = draw(sizes)
+    frame = ds.make_frame(LABEL_POOL[:n])
+    full, top = frame.full_mask, 1 << (n - 1)
+    pool = sorted({full, top, 1 | top, 1, full >> 1 or full})
+    masks = st.one_of(
+        st.integers(1, full),
+        st.integers(0, full >> 1).map(lambda m: m | top),
+        st.sampled_from(pool),
+    )
+
+    def bpa() -> ds.MassFunction:
+        chosen = draw(st.lists(masks, min_size=1, max_size=12, unique=True))
+        weights = draw(
+            st.lists(st.integers(1, 99), min_size=len(chosen), max_size=len(chosen))
+        )
+        total = float(sum(weights))
+        return ds.MassFunction(frame, {m: w / total for m, w in zip(chosen, weights)})
+
+    return bpa(), bpa()
 
 
 class TestCorrelation:
@@ -183,6 +214,49 @@ class TestJousselme:
         assert d12 <= d13 + d32 + 1e-9
 
 
+class TestSparseReference:
+    """The focal-pair kernel equals the plain-Python pair loops exactly."""
+
+    @given(wide_pairs())
+    def test_measures_equal_sparse_reference(self, pair):
+        m1, m2 = pair
+        k = oracles.sparse_conflict_k(m1, m2)
+        d = oracles.sparse_jousselme_distance(m1, m2)
+        r = oracles.sparse_correlation_coefficient(m1, m2)
+        report = ds.conflict_report(m1, m2)
+        assert (report.k, report.d_bba, report.r_bpa, report.k_r) == (k, d, r, 1.0 - r)
+        assert ds.conflict_k(m1, m2) == k
+        assert ds.jousselme_distance(m1, m2) == d
+        assert ds.correlation_coefficient(m1, m2) == r
+        c12 = oracles.sparse_correlation_degree(m1, m2)
+        assert ds.correlation_degree(m1, m2) == c12
+
+    @given(wide_pairs())
+    def test_combination_equals_sparse_reference(self, pair):
+        k, masses = oracles.sparse_dempster(*pair)
+        try:
+            result = ds.combine_dempster(*pair)
+        except ds.TotalConflictError as exc:
+            assert masses is None and exc.k == k
+            return
+        assert result.k == k
+        assert dict(result.combined.items()) == masses
+
+    @given(wide_pairs(sizes=st.just(63)))
+    def test_commutative_exactly_at_63(self, pair):
+        m1, m2 = pair
+        try:
+            forward = ds.combine_dempster(m1, m2)
+        except ds.TotalConflictError as exc:
+            with pytest.raises(ds.TotalConflictError) as other:
+                ds.combine_dempster(m2, m1)
+            assert other.value.k == exc.k
+            return
+        backward = ds.combine_dempster(m2, m1)
+        assert forward.k == backward.k
+        assert dict(forward.combined.items()) == dict(backward.combined.items())
+
+
 class TestPignistic:
     @given(single_bpas())
     def test_distribution(self, m):
@@ -247,10 +321,12 @@ def _assert_valid(m: ds.MassFunction) -> None:
 
 
 # Masses that often make a valid BPA, mixed with NaN, infinities, subnormals,
-# values near the float limit and an integer beyond it.
+# values near the float limit, an integer beyond it and values that are not
+# numbers at all.
 _MASSES = st.one_of(
     st.sampled_from(
-        [0.0, 0.5, 1.0, math.nan, math.inf, -math.inf, 1.7e308, 10**400]
+        [0.0, 0.5, 1.0, math.nan, math.inf, -math.inf, 1.7e308, 10**400,
+         "1", None, [1], True]
     ),
     st.floats(allow_nan=True, allow_infinity=True),
 )
