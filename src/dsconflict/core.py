@@ -115,9 +115,12 @@ class Frame:
 
     def members(self, mask: SubsetMask) -> tuple[str, ...]:
         self._check_mask(mask)
-        return tuple(
-            label for i, label in enumerate(self.labels) if mask >> i & 1
-        )
+        found = []
+        while mask:  # visit the set bits only, lowest (first label) first
+            low = mask & -mask
+            found.append(self.labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(found)
 
     def singletons(self) -> Iterator[SubsetMask]:
         for i in range(len(self.labels)):

@@ -25,7 +25,6 @@ __all__ = [
     "ComputationError",
     "TotalConflictError",
     "BothEmptyError",
-    "FrameTooLargeForMeasureError",
     "FrameTooLargeForCheckError",
     "InternalConsistencyError",
 ]
@@ -104,10 +103,6 @@ class TotalConflictError(ComputationError):
 
 class BothEmptyError(ComputationError):
     """The Jaccard index of two empty sets is undefined."""
-
-
-class FrameTooLargeForMeasureError(ComputationError):
-    """The requested measure enumerates the power set and the frame is too big."""
 
 
 class FrameTooLargeForCheckError(ComputationError):

@@ -5,15 +5,17 @@ same frame.  Everything that only depends on focal elements is evaluated
 sparsely by one kernel, :func:`fusion._pair_terms`, over ``uint64`` mask and
 ``float64`` mass arrays, and each result is one ``math.fsum``: bit-identical
 to a per-pair loop, so symmetric, with d(m, m) = 0 and r(m, m) = 1 exactly.
-The two operations that genuinely range over the whole power set — the cosine
-measure :func:`song_cor` and the Gram matrix check — are capped at moderate
-frame sizes and vectorized with numpy.
+The cosine measure :func:`song_cor` is defined over the whole power set, but
+its inner products depend on each focal pair only through four set sizes, so
+they are closed-form sums over focal pairs and work at every frame size.  Only
+the Gram matrix check still builds a power-set matrix, and is capped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +25,6 @@ from .errors import (
     BadThresholdError,
     BothEmptyError,
     FrameTooLargeForCheckError,
-    FrameTooLargeForMeasureError,
     InternalConsistencyError,
 )
 from .fusion import _Focal, _focal_arrays, _fsum, _pair_terms, conflict_k
@@ -53,7 +54,12 @@ __all__ = [
 #: clamping turns into an :class:`InternalConsistencyError`.
 CLAMP_TOL = 1e-12
 
-#: song_cor enumerates every nonempty subset, so the frame is capped.
+#: conflict_report computes ``cor`` only up to this frame size, although
+#: song_cor itself works on any frame.  On 30-63 hypotheses with 100-200 focal
+#: sets per BPA, cor costs about half as much as the rest of the report plus
+#: a combination (14 ms against 27 ms per pair on a 2-core x86-64 host), and
+#: stays out of the report until a kernel fused with the focal-pair terms
+#: pays for it.
 SONG_COR_MAX_FRAME = 24
 
 #: gram_positive_definite builds a dense (2^N - 1) square matrix.
@@ -61,8 +67,6 @@ GRAM_MAX_FRAME = 12
 
 #: Cholesky pivots must exceed this for a positive-definite verdict.
 GRAM_PIVOT_TOL = 1e-12
-
-_SONG_CHUNK = 1 << 16
 
 
 def _clamp_unit(value: float, what: str) -> float:
@@ -234,16 +238,59 @@ def _liu(k: float, db: float, epsilon: float) -> LiuConflict:
     )
 
 
-def _song_vector(
-    focal: Sequence[tuple[SubsetMask, float]],
-    masks: np.ndarray,
-    card_b: np.ndarray,
-) -> np.ndarray:
-    f = np.zeros(masks.shape[0])
-    for a, value in focal:
-        inter = np.bitwise_count(masks & a).astype(np.float64)
-        f += value * inter / (card_b + a.bit_count() - inter)
-    return f
+@lru_cache(maxsize=None)
+def _song_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binomials C(r, e) for r, e <= n (zero for e > r), and the positive-term
+    tables sum_a C(j, a) / (y + a) and sum_a C(j, a) * a / (y + a) for
+    j <= n and 1 <= y <= n, the latter two indexed [j, y - 1]."""
+    size = n + 1
+    binom = np.array(
+        [[math.comb(r, e) for e in range(size)] for r in range(size)], np.float64
+    )
+    a = np.arange(size, dtype=np.float64)
+    terms = binom[:, None, :] / (a[None, 1:, None] + a)  # [j, y - 1, a]
+    tables = binom, terms.sum(axis=2), (terms * a).sum(axis=2)
+    for table in tables:  # cached and shared by every caller
+        table.flags.writeable = False
+    return tables
+
+
+def _song_inners(pairs: Sequence[tuple[_Focal, _Focal]], n: int) -> list[float]:
+    """For each pair (x, y), the sum over focal pairs (A, C) of wx * wy * S,
+    with S = sum over nonempty B of J(A, B) * J(C, B).
+
+    S depends only on the signature p = |A & C|, j = |A - C|, k = |C - A| and
+    r = n - |A | C|.  Split B into i, a, c and e elements of A & C, A - C,
+    C - A and the rest: then J(A, B) * J(C, B) is
+    (i + a)(i + c) / ((p + j + c + e)(p + k + a + e)).  The i-sum is closed:
+    sum_i C(p, i)(i + a)(i + c) = P2 + (a + c) P1 + a c P0 with P0 = 2^p,
+    P1 = p 2^(p-1), P2 = p (p + 1) 2^(p-2); for each e the a-sum and the
+    c-sum then factor apart into table lookups, so S costs O(r).  Each
+    distinct signature is evaluated once over all pairs, with j <= k, so
+    swapping the arguments of every pair swaps no bits of the result.
+    """
+    keys = []
+    for (xm, _), (ym, _) in pairs:
+        p = np.bitwise_count(np.bitwise_and.outer(xm, ym)).astype(np.int64)
+        j = np.bitwise_count(xm).astype(np.int64)[:, None] - p
+        k = np.bitwise_count(ym).astype(np.int64)[None, :] - p
+        keys.append(((p << 12) | (np.minimum(j, k) << 6) | np.maximum(j, k)).ravel())
+    sigs, index = np.unique(np.concatenate(keys), return_inverse=True)
+    p, lo, hi = (sigs >> 12)[:, None], (sigs >> 6 & 63)[:, None], (sigs & 63)[:, None]
+    r = n - p - lo - hi
+    binom, t0, t1 = _song_tables(n)
+    e = np.arange(int(r.max()) + 1)
+    ya = np.minimum(p + hi + e, n) - 1  # |C | B| less a; past e = r the weight is 0
+    yc = np.minimum(p + lo + e, n) - 1  # |A | B| less c
+    a0, a1, c0, c1 = t0[lo, ya], t1[lo, ya], t0[hi, yc], t1[hi, yc]
+    p0, p1, p2 = np.ldexp(1.0, p), np.ldexp(p, p - 1), np.ldexp(p * (p + 1), p - 2)
+    blocks = binom[r, e] * (p2 * a0 * c0 + p1 * (a1 * c0 + a0 * c1) + p0 * a1 * c1)
+    sums = blocks.sum(axis=1)[index.ravel()]
+    bounds = np.cumsum([0] + [len(k) for k in keys]).tolist()
+    return [
+        _fsum(np.multiply.outer(xw, yw).ravel() * sums[start:stop])
+        for ((_, xw), (_, yw)), start, stop in zip(pairs, bounds, bounds[1:])
+    ]
 
 
 def song_cor(m1: MassFunction, m2: MassFunction) -> float:
@@ -251,28 +298,13 @@ def song_cor(m1: MassFunction, m2: MassFunction) -> float:
 
     Each BPA is expanded to a vector indexed by every nonempty subset B of the
     frame with entries sum_A m(A) J(A, B), and the result is the cosine of the
-    angle between the two expansions.  Exponential in the frame size, hence
-    capped at :data:`SONG_COR_MAX_FRAME`.
+    angle between the two expansions.  The inner products are evaluated in
+    closed form over focal pairs (see :func:`_song_inners`), so the cost is
+    polynomial in the frame size and any frame up to 63 hypotheses works.
     """
-    frame = require_same_frame(m1, m2)
-    n = frame.size
-    if n > SONG_COR_MAX_FRAME:
-        raise FrameTooLargeForMeasureError(
-            f"song_cor ranges over 2^{n} - 1 subsets; "
-            f"frame sizes above {SONG_COR_MAX_FRAME} are not supported"
-        )
-    focal1 = list(m1.items())
-    focal2 = list(m2.items())
-    s11 = s12 = s22 = 0.0
-    total = 1 << n
-    for start in range(1, total, _SONG_CHUNK):
-        masks = np.arange(start, min(start + _SONG_CHUNK, total), dtype=np.int64)
-        card_b = np.bitwise_count(masks).astype(np.float64)
-        f1 = _song_vector(focal1, masks, card_b)
-        f2 = _song_vector(focal2, masks, card_b)
-        s11 += float(f1 @ f1)
-        s12 += float(f1 @ f2)
-        s22 += float(f2 @ f2)
+    n = require_same_frame(m1, m2).size
+    x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
+    s12, s11, s22 = _song_inners(((x, y), (x, x), (y, y)), n)
     if s11 <= 0.0 or s22 <= 0.0:
         raise InternalConsistencyError(
             f"modified mass vectors must have positive norms, got {s11!r}, {s22!r}"
@@ -294,9 +326,14 @@ def gram_positive_definite(frame: Frame) -> bool:
             f"sizes above {GRAM_MAX_FRAME} are not supported"
         )
     masks = np.arange(1, 1 << n, dtype=np.int32)
-    inter = np.bitwise_count(masks[:, None] & masks[None, :]).astype(np.float64)
     cards = np.bitwise_count(masks).astype(np.float64)
-    gram = inter / (cards[:, None] + cards[None, :] - inter)
+    # inter / ((|A| + |B|) - inter), built in place so that no (2^N - 1)^2
+    # temporary outlives its step and none is live during the factorization.
+    gram = np.bitwise_count(np.bitwise_and.outer(masks, masks)).astype(np.float64)
+    union = np.add.outer(cards, cards)
+    union -= gram
+    gram /= union
+    del union
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -309,7 +346,7 @@ def gram_positive_definite(frame: Frame) -> bool:
 class ConflictReport:
     """All supported measures for one BPA pair.
 
-    ``cor`` is None when the frame is too large for :func:`song_cor`; ``liu``
+    ``cor`` is None above :data:`SONG_COR_MAX_FRAME` hypotheses; ``liu``
     is None unless a threshold was supplied.  ``k_r`` is always the exact
     complement of ``r_bpa``.
     """

@@ -16,6 +16,8 @@ The production code is tested against these, never the other way around.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -111,6 +113,60 @@ def song_cor(m1: MassFunction, m2: MassFunction) -> float:
     f1 = d @ dense_vector(m1)
     f2 = d @ dense_vector(m2)
     return float(f1 @ f2 / (np.linalg.norm(f1) * np.linalg.norm(f2)))
+
+
+def song_signature(a: int, c: int, n: int) -> tuple[int, int, int, int]:
+    """(|A & C|, |A - C|, |C - A|, n - |A | C|) of two subset masks."""
+    return popcount(a & c), popcount(a & ~c), popcount(c & ~a), n - popcount(a | c)
+
+
+def song_block_sum_brute(p: int, j: int, k: int, r: int) -> Fraction:
+    """Exact sum over all nonempty B of J(A, B) * J(C, B), enumerating B."""
+    a = (1 << (p + j)) - 1
+    c = ((1 << p) - 1) | (((1 << k) - 1) << (p + j))
+    return sum(
+        (
+            Fraction(popcount(a & b), popcount(a | b))
+            * Fraction(popcount(c & b), popcount(c | b))
+            for b in range(1, 1 << (p + j + k + r))
+        ),
+        Fraction(0),
+    )
+
+
+@lru_cache(maxsize=None)
+def song_block_sum(p: int, j: int, k: int, r: int) -> Fraction:
+    """The same sum, exact, for any frame: B is counted block by block.
+
+    With i, a, c and e elements of B in A & C, A - C, C - A and the rest,
+    there are C(p, i) C(j, a) C(k, c) C(r, e) such B, each contributing
+    (i + a)(i + c) / ((p + j + c + e)(p + k + a + e)).
+    """
+    numerators: dict[int, int] = defaultdict(int)  # keyed by the denominator
+    for i in range(p + 1):
+        for a in range(j + 1):
+            for c in range(k + 1):
+                count = math.comb(p, i) * math.comb(j, a) * math.comb(k, c)
+                for e in range(r + 1):
+                    numerators[(p + j + c + e) * (p + k + a + e)] += (
+                        count * math.comb(r, e) * (i + a) * (i + c)
+                    )
+    return sum(
+        (Fraction(num, den) for den, num in numerators.items()), Fraction(0)
+    )
+
+
+def song_inner_exact(m1: MassFunction, m2: MassFunction) -> Fraction:
+    """Exact sum over focal pairs of m1(A) m2(C) sum_B J(A, B) J(C, B)."""
+    n = m1.frame.size
+    return sum(
+        (
+            Fraction(v1) * Fraction(v2) * song_block_sum(*song_signature(a, c, n))
+            for a, v1 in m1.items()
+            for c, v2 in m2.items()
+        ),
+        Fraction(0),
+    )
 
 
 def gram_min_eigenvalue(n: int) -> float:

@@ -1,11 +1,15 @@
 """Unit tests for the pairwise measures, pinned to reference values."""
 
 import math
+import random
 
 import pytest
 
 import dsconflict as ds
 import oracles
+from dsconflict.fusion import _focal_arrays
+from dsconflict.measures import _song_inners
+from generators import random_bpa
 
 
 @pytest.fixture
@@ -215,11 +219,17 @@ class TestSongCor:
         m1, _ = pair1
         assert abs(ds.song_cor(m1, m1) - 1.0) <= 1e-12
 
-    def test_frame_cap(self):
-        frame = ds.make_frame(f"h{i}" for i in range(25))
-        m = ds.vacuous_bpa(frame)
-        with pytest.raises(ds.FrameTooLargeForMeasureError):
-            ds.song_cor(m, m)
+    def test_wide_frames(self):
+        # no frame cap: 25 and 63 hypotheses, beyond any power-set enumeration
+        for n in (25, 63):
+            frame = ds.make_frame(f"h{i}" for i in range(n))
+            vacuous = ds.vacuous_bpa(frame)
+            m = ds.make_bpa(frame, [(["h0"], 0.5), (["h1", f"h{n - 1}"], 0.5)])
+            assert abs(ds.song_cor(vacuous, vacuous) - 1.0) <= 1e-12
+            assert abs(ds.song_cor(m, m) - 1.0) <= 1e-12
+            got = ds.song_cor(m, vacuous)
+            assert 0.0 < got < 1.0
+            assert got == ds.song_cor(vacuous, m)
 
     def test_chunking_is_consistent(self):
         # frame large enough to span several internal chunks
@@ -231,6 +241,30 @@ class TestSongCor:
         # restricting to one chunk must agree: recompute on 16 labels
         # is not equivalent, so instead check symmetry and self-consistency
         assert got == ds.song_cor(m2, m1)
+
+
+class TestSongClosedForm:
+    """Song's inner products against exact rational sums over B."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_block_oracle_matches_enumeration(self, n):
+        for p in range(n + 1):
+            for j in range(n - p + 1):
+                for k in range(n - p - j + 1):
+                    if p + j and p + k:  # A and C nonempty
+                        want = oracles.song_block_sum_brute(p, j, k, n - p - j - k)
+                        assert oracles.song_block_sum(p, j, k, n - p - j - k) == want
+
+    @pytest.mark.parametrize("n", [30, 63])
+    def test_pair_sums_match_exact_oracle(self, n):
+        rng = random.Random(f"song:{n}")
+        frame = ds.make_frame(f"h{i}" for i in range(n))
+        m1, m2 = random_bpa(rng, frame, 6), random_bpa(rng, frame, 6)
+        x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
+        sums = _song_inners(((x, y), (x, x), (y, y), (y, x)), n)
+        for got, (a, b) in zip(sums, ((m1, m2), (m1, m1), (m2, m2), (m2, m1))):
+            want = float(oracles.song_inner_exact(a, b))
+            assert abs(got - want) <= 1e-12 * want
 
 
 class TestGram:

@@ -61,13 +61,11 @@ def single_bpas(draw, max_size: int = 6, max_focals: int = 4):
 
 
 @st.composite
-def wide_pairs(draw, sizes=st.integers(1, 8) | st.integers(25, 63) | st.just(63)):
+def wide_pairs(draw, sizes=st.integers(1, 63) | st.just(63)):
     """BPA pairs up to the largest frame, many masks using the top bit.
 
-    Sizes 9..24 are left out: ``conflict_report`` runs Song's cor there,
-    which enumerates the power set.  A small shared pool of masks makes
-    distinct focal pairs meet in the same intersection, so that Dempster's
-    rule sums groups of several products.
+    A small shared pool of masks makes distinct focal pairs meet in the same
+    intersection, so that Dempster's rule sums groups of several products.
     """
     n = draw(sizes)
     frame = ds.make_frame(LABEL_POOL[:n])
@@ -299,6 +297,18 @@ class TestSongCor:
         got = ds.song_cor(*pair)
         want = oracles.song_cor(*pair)
         assert abs(got - want) <= 1e-12
+
+    @given(wide_pairs(sizes=st.integers(25, 63)))
+    def test_wide_self_is_one(self, pair):
+        for m in pair:
+            assert abs(ds.song_cor(m, m) - 1.0) <= 1e-12
+
+    @given(wide_pairs(sizes=st.integers(25, 63)))
+    def test_wide_symmetric_and_bounded(self, pair):
+        m1, m2 = pair
+        value = ds.song_cor(m1, m2)
+        assert value == ds.song_cor(m2, m1)
+        assert 0.0 <= value <= 1.0
 
 
 class TestDocumentRoundTrip:
