@@ -21,7 +21,12 @@ from .core import make_frame
 from .document import BpaDocument, _write_atomic, dump, dumps, load
 from .errors import ComputationError, ValidationError
 from .fusion import combine_dempster
-from .measures import ConflictReport, conflict_report, gram_positive_definite
+from .measures import (
+    GRAM_MAX_FRAME,
+    ConflictReport,
+    conflict_report,
+    gram_positive_definite,
+)
 from .sweep import DEFAULT_FRAME_SIZE, sweep_csv, sweep_rows
 
 __all__ = ["run", "main"]
@@ -175,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gram-check", help="check the Jaccard Gram matrix for a frame size"
     )
     gram.add_argument("--n", type=int, required=True, metavar="N",
-                      help="frame size (1 to 12)")
+                      help=f"frame size (1 to {GRAM_MAX_FRAME})")
     add_output(gram)
     gram.set_defaults(handler=_cmd_gram_check)
 

@@ -106,7 +106,7 @@ class BothEmptyError(ComputationError):
 
 
 class FrameTooLargeForCheckError(ComputationError):
-    """The requested check builds a dense power-set matrix and the frame is too big."""
+    """The frame is beyond the size an exact check is budgeted for."""
 
 
 class InternalConsistencyError(ComputationError):

@@ -173,6 +173,70 @@ def gram_min_eigenvalue(n: int) -> float:
     return float(np.linalg.eigvalsh(jaccard_matrix(n)).min())
 
 
+def _binom(a: int, b: int) -> int:
+    return math.comb(a, b) if 0 <= b <= a else 0
+
+
+def schrijver_beta(n: int, t: int, i: int, j: int, k: int) -> int:
+    """Schrijver's (2005) beta^t_{i,j,k}, summed over every u = 0..n."""
+    return sum(
+        (-1) ** abs(u - t)
+        * _binom(u, t)
+        * _binom(n - 2 * k, u - k)
+        * _binom(n - k - u, i - u)
+        * _binom(n - k - u, j - u)
+        for u in range(n + 1)
+    )
+
+
+def gram_blocks_beta(n: int) -> list[list[list[Fraction]]]:
+    """Unnormalised symmetry blocks of the Jaccard matrix, in the literal beta form.
+
+    Block k = 0..n // 2 has rows and columns i, j = max(k, 1)..n - k and
+    entries sum_t beta^t_{i,j,k} * t / (i + j - t), in exact fractions.
+    O(n^5); the empty set is left out by starting block 0 at i = 1.
+    """
+    blocks = []
+    for k in range(n // 2 + 1):
+        rows = range(max(k, 1), n - k + 1)
+        blocks.append([
+            [
+                sum(
+                    (
+                        schrijver_beta(n, t, i, j, k) * Fraction(t, i + j - t)
+                        for t in range(min(i, j) + 1)
+                    ),
+                    Fraction(0),
+                )
+                for j in rows
+            ]
+            for i in rows
+        ])
+    return blocks
+
+
+def leading_minors(matrix: list[list[int]]) -> list[Fraction]:
+    """Every leading principal minor, each by its own elimination in fractions."""
+    minors = []
+    for size in range(1, len(matrix) + 1):
+        a = [[Fraction(v) for v in row[:size]] for row in matrix[:size]]
+        det = Fraction(1)
+        for p in range(size):
+            pivot = next((r for r in range(p, size) if a[r][p] != 0), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != p:
+                a[p], a[pivot] = a[pivot], a[p]
+                det = -det
+            det *= a[p][p]
+            for r in range(p + 1, size):
+                f = a[r][p] / a[p][p]
+                a[r] = [x - f * y for x, y in zip(a[r], a[p])]
+        minors.append(det)
+    return minors
+
+
 def sparse_jaccard(a: int, b: int) -> float:
     return popcount(a & b) / popcount(a | b)
 

@@ -168,8 +168,18 @@ class TestGramCheck:
         assert result.stdout == "15×15: positive definite\n"
 
     def test_cap_exits_3(self):
-        result = run_cli("gram-check", "--n", "13")
+        result = run_cli("gram-check", "--n", str(ds.GRAM_MAX_FRAME + 1))
         assert result.returncode == 3
+
+    def test_beyond_frame_limit_exits_2(self):
+        result = run_cli("gram-check", "--n", "64")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+
+    def test_help_names_the_cap(self):
+        result = run_cli("gram-check", "--help")
+        assert result.returncode == 0
+        assert f"frame size (1 to {ds.GRAM_MAX_FRAME})" in result.stdout
 
     def test_zero_exits_2(self):
         result = run_cli("gram-check", "--n", "0")

@@ -2,13 +2,15 @@
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import dsconflict as ds
 import oracles
 from dsconflict.fusion import _focal_arrays
-from dsconflict.measures import _song_inners
+from dsconflict.measures import _gram_blocks, _positive_definite, _song_inners
 from generators import random_bpa
 
 
@@ -275,12 +277,60 @@ class TestGram:
         assert oracles.gram_min_eigenvalue(n) > 0.0
 
     def test_cap(self):
-        frame = ds.make_frame(f"h{i}" for i in range(13))
+        frame = ds.make_frame(f"h{i}" for i in range(ds.GRAM_MAX_FRAME + 1))
         with pytest.raises(ds.FrameTooLargeForCheckError):
             ds.gram_positive_definite(frame)
 
     def test_largest_supported_frame(self):
-        assert ds.gram_positive_definite(ds.make_frame(f"h{i}" for i in range(12)))
+        frame = ds.make_frame(f"h{i}" for i in range(ds.GRAM_MAX_FRAME))
+        assert ds.gram_positive_definite(frame)
+
+    def test_every_supported_frame(self):
+        for n in range(1, ds.GRAM_MAX_FRAME):
+            assert ds.gram_positive_definite(ds.make_frame(f"h{i}" for i in range(n)))
+
+
+class TestGramBlocks:
+    """The integer symmetry blocks behind the Gram check, and its elimination."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_blocks_equal_literal_beta_form(self, n):
+        scale = math.lcm(*range(1, 2 * n + 1))
+        blocks = [
+            [[Fraction(v, scale) for v in row] for row in block]
+            for block in _gram_blocks(n)
+        ]
+        assert blocks == oracles.gram_blocks_beta(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_block_spectrum_equals_dense_spectrum(self, n):
+        scale = math.lcm(*range(1, 2 * n + 1))
+        spectrum = []
+        for k, block in enumerate(_gram_blocks(n)):
+            rows = range(max(k, 1), n - k + 1)
+            norm = [math.sqrt(math.comb(n - 2 * k, i - k)) for i in rows]
+            normalised = np.array([
+                [float(Fraction(v, scale)) / (norm[a] * norm[b])
+                 for b, v in enumerate(row)]
+                for a, row in enumerate(block)
+            ])
+            multiplicity = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            spectrum += list(np.linalg.eigvalsh(normalised)) * multiplicity
+        dense = np.linalg.eigvalsh(oracles.jaccard_matrix(n))
+        assert len(spectrum) == len(dense) == 2 ** n - 1
+        assert np.max(np.abs(np.sort(spectrum) - dense)) <= 1e-12
+
+    def test_rejects_indefinite(self):
+        assert not _positive_definite([[1, 2], [2, 1]])
+
+    def test_rejects_singular(self):
+        assert not _positive_definite([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+
+    def test_rejects_zero(self):
+        assert not _positive_definite([[0, 0], [0, 0]])
+
+    def test_accepts_positive_definite(self):
+        assert _positive_definite([[2, 1], [1, 2]])
 
 
 class TestConflictReport:

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dsconflict as ds
 import oracles
+from dsconflict.measures import _positive_definite
 from generators import LABEL_POOL
 
 settings.register_profile(
@@ -397,3 +398,40 @@ class TestValidationNeverEscapes:
             return
         for m in doc.bpas.values():
             _assert_valid(m)
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """Symmetric integer matrices of size 1-6, common factor included.
+
+    Half are shifted random matrices (indefinite or definite), half are Gram
+    matrices B'B of small integer vectors, which are singular whenever B has
+    fewer independent rows than columns.
+    """
+    size = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        cells = st.integers(-9, 9)
+        upper = [[draw(cells) for _ in range(size - i)] for i in range(size)]
+        shift = draw(st.integers(0, 30))
+        matrix = [
+            [upper[min(i, j)][abs(i - j)] for j in range(size)] for i in range(size)
+        ]
+        for i in range(size):
+            matrix[i][i] += shift
+    else:
+        rows = draw(st.integers(1, 6))
+        b = [[draw(st.integers(-3, 3)) for _ in range(size)] for _ in range(rows)]
+        matrix = [
+            [sum(r[i] * r[j] for r in b) for j in range(size)] for i in range(size)
+        ]
+    factor = draw(st.integers(1, 10**6))
+    return [[factor * v for v in row] for row in matrix]
+
+
+class TestExactPositiveDefinite:
+    @given(symmetric_int_matrices())
+    def test_agrees_with_fraction_minors(self, matrix):
+        original = [row[:] for row in matrix]
+        want = all(minor > 0 for minor in oracles.leading_minors(matrix))
+        assert _positive_definite(matrix) is want
+        assert matrix == original
