@@ -17,7 +17,7 @@ import argparse
 import sys
 from typing import NoReturn, Sequence
 
-from .core import make_frame
+from .core import _numbered_frame
 from .document import BpaDocument, _write_atomic, dump, dumps, load
 from .errors import ComputationError, ValidationError
 from .fusion import combine_dempster
@@ -43,6 +43,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _digits(text: str) -> int:
+    """``--precision``: a format precision must be a nonnegative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        )
+    return int(text)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -115,7 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_gram_check(args: argparse.Namespace) -> int:
-    frame = make_frame(str(i) for i in range(1, args.n + 1))
+    frame = _numbered_frame(args.n)
     size = 2 ** frame.size - 1
     verdict = (
         "positive definite"
@@ -140,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the result to PATH instead of stdout")
 
     def add_precision(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--precision", type=int, default=4, metavar="DIGITS",
+        p.add_argument("--precision", type=_digits, default=4, metavar="DIGITS",
                        help="decimal digits in rendered values (default 4)")
 
     measure = commands.add_parser(

@@ -70,10 +70,7 @@ class Frame:
         labels = tuple(self.labels)
         if not labels:
             raise EmptyFrameError("a frame needs at least one hypothesis")
-        if len(labels) > MAX_FRAME_SIZE:
-            raise FrameTooLargeError(
-                f"{len(labels)} labels exceed the limit of {MAX_FRAME_SIZE}"
-            )
+        _check_frame_size(len(labels))
         for label in labels:
             if not isinstance(label, str) or not label:
                 raise UnknownLabelError(
@@ -196,6 +193,20 @@ def make_frame(labels: Iterable[str]) -> Frame:
     return Frame(tuple(labels))
 
 
+def _check_frame_size(size: int) -> None:
+    if size > MAX_FRAME_SIZE:
+        raise FrameTooLargeError(
+            f"{size} labels exceed the limit of {MAX_FRAME_SIZE}"
+        )
+
+
+def _numbered_frame(size: int) -> Frame:
+    """The frame labelled "1" through ``str(size)``; the size is checked
+    before any label is built, so a huge request costs nothing."""
+    _check_frame_size(size)
+    return make_frame(str(i) for i in range(1, size + 1))
+
+
 def set_to_text(frame: Frame, mask: SubsetMask) -> str:
     """Human-readable form of a subset, e.g. ``{A1, A2}``."""
     if mask == 0:
@@ -273,7 +284,13 @@ def _bpa_from_masks(
         raise UnnormalizedMassError(f"masses sum to {total!r}, expected 1")
     if deviation > MASS_SUM_ACCEPT_TOL:
         focal = {mask: value / total for mask, value in focal.items()}
-    bpa = MassFunction.__new__(MassFunction)  # validated above: skip __init__
+    return _trusted_bpa(frame, focal)
+
+
+def _trusted_bpa(frame: Frame, focal: dict[SubsetMask, float]) -> MassFunction:
+    """A BPA whose focal elements already obey every rule: ``__init__``'s
+    per-element checks are skipped.  The caller owns that guarantee."""
+    bpa = MassFunction.__new__(MassFunction)
     bpa._frame, bpa._focal = frame, focal
     return bpa
 

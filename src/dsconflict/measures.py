@@ -15,6 +15,7 @@ frame's symmetry blocks exactly, in integers, and is capped by time only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -168,18 +169,19 @@ class PignisticDistribution:
 
 
 def pignistic(m: MassFunction) -> PignisticDistribution:
-    """Pignistic transformation: each focal mass split evenly over its members."""
-    shares: list[list[float]] = [[] for _ in range(m.frame.size)]
-    for mask, value in m.items():
-        share = value / mask.bit_count()
-        i = 0
-        while mask:
-            if mask & 1:
-                shares[i].append(share)
-            mask >>= 1
-            i += 1
+    """Pignistic transformation: each focal mass split evenly over its members.
+
+    Each label's probability is one ``fsum`` of the shares m(A) / |A| of the
+    focal sets A that contain it, gathered label by label into one array.
+    """
+    masks, masses = _focal_arrays(m.focal)
+    shares = masses / np.bitwise_count(masks)
+    n = m.frame.size
+    label, focal = np.nonzero((masks >> np.arange(n, dtype=np.uint64)[:, None]) & 1)
+    by_label = memoryview(shares[focal])  # nonzero lists label 0's first
+    bounds = np.searchsorted(label, np.arange(n + 1)).tolist()
     return PignisticDistribution(
-        m.frame, tuple(math.fsum(column) for column in shares)
+        m.frame, tuple(math.fsum(by_label[a:b]) for a, b in zip(bounds, bounds[1:]))
     )
 
 
@@ -214,12 +216,15 @@ class LiuConflict:
 
 
 def _check_threshold(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:
+    """The threshold as a float; like a mass, it must be a real number and
+    not a ``bool``.  NaN fails the range comparison."""
+    if not isinstance(epsilon, numbers.Real) or isinstance(epsilon, bool):
+        raise BadThresholdError(f"threshold {epsilon!r} is not a number")
+    if not 0 < epsilon < 1:
         raise BadThresholdError(
             f"threshold must lie strictly between 0 and 1, got {epsilon!r}"
         )
-    return epsilon
+    return float(epsilon)
 
 
 def liu_cf(m1: MassFunction, m2: MassFunction, epsilon: float) -> LiuConflict:

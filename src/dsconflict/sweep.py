@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Frame, make_bpa, make_frame
+from .core import Frame, _numbered_frame, make_bpa
 from .errors import ValidationError
 from .fusion import conflict_k
 from .measures import conflict_kr, jousselme_distance
@@ -60,7 +60,7 @@ def sweep_frame(size: int = DEFAULT_FRAME_SIZE) -> Frame:
             f"the sweep needs a frame of at least {MIN_FRAME_SIZE} hypotheses, "
             f"got {size}"
         )
-    return make_frame(str(i) for i in range(1, size + 1))
+    return _numbered_frame(size)
 
 
 def sweep_rows(size: int = DEFAULT_FRAME_SIZE) -> list[SweepRow]:

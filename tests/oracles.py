@@ -279,14 +279,39 @@ def sparse_jousselme_distance(m1: MassFunction, m2: MassFunction) -> float:
 def sparse_dempster(
     m1: MassFunction, m2: MassFunction, tol: float = 1e-12
 ) -> tuple[float, dict[int, float] | None]:
-    """Dempster's rule: ``(k, combined masses)``, or ``(k, None)`` when
-    ``1 - k <= tol`` (total conflict)."""
+    """Dempster's rule: ``(k, combined masses)``, or ``(k, None)`` when the
+    non-conflicting mass is at most ``tol`` (total conflict).  The groups are
+    divided by 1 - k, or by their own fsum total when 1 - k would leave the
+    result off 1 by more than half the 1e-9 mass-sum tolerance."""
     groups: dict[int, list[float]] = {}
     for a, v1 in m1.items():
         for b, v2 in m2.items():
             groups.setdefault(a & b, []).append(v1 * v2)
     k = math.fsum(groups.pop(0, []))
-    scale = 1.0 - k
-    if scale <= tol:
+    sums = {mask: math.fsum(values) for mask, values in groups.items()}
+    total = math.fsum(sums.values())
+    if total <= tol:
         return k, None
-    return k, {mask: math.fsum(values) / scale for mask, values in groups.items()}
+    scale = 1.0 - k
+    if not abs(total - scale) <= 0.5e-9 * scale:
+        scale = total
+    return k, {
+        mask: mass
+        for mask, value in sums.items()
+        if (mass := value / scale) != 0.0  # products can underflow to 0.0
+    }
+
+
+def sparse_pignistic(m: MassFunction) -> tuple[float, ...]:
+    """BetP by a bit-by-bit loop: each share m(A) / |A| is appended to the
+    column of every member of A, and each column is one fsum."""
+    shares: list[list[float]] = [[] for _ in range(m.frame.size)]
+    for mask, value in m.items():
+        share = value / mask.bit_count()
+        i = 0
+        while mask:
+            if mask & 1:
+                shares[i].append(share)
+            mask >>= 1
+            i += 1
+    return tuple(math.fsum(column) for column in shares)

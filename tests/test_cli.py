@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -118,6 +119,20 @@ class TestCombine:
         mask = frame.subset(["A3"])
         assert abs(combined.mass(mask) - 1.0) <= 1e-9
 
+    def test_inputs_summing_to_one_within_tolerance(self, tmp_path):
+        # a valid pair under high conflict; dividing by 1 - k failed to sum to 1
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"frame": ["a", "b"], "bpas": [
+            {"name": "m1", "masses": [{"set": ["a"], "mass": 1 - 1e-7 + 4e-10},
+                                      {"set": ["a", "b"], "mass": 1e-7}]},
+            {"name": "m2", "masses": [{"set": ["b"], "mass": 1 - 1e-7},
+                                      {"set": ["a", "b"], "mass": 1e-7}]},
+        ]}))
+        result = run_cli("combine", "--input", str(path), "--pair", "m1", "m2")
+        assert result.returncode == 0, result.stderr
+        (bpa,) = json.loads(result.stdout)["bpas"]
+        assert abs(math.fsum(item["mass"] for item in bpa["masses"]) - 1.0) <= 1e-9
+
     def test_total_conflict_exits_3(self):
         result = run_cli(
             "combine", "--input", str(DATA / "example1.json"),
@@ -154,6 +169,11 @@ class TestSweep:
         result = run_cli("sweep", "--frame-size", "6")
         assert result.returncode == 2
 
+    def test_huge_frame_exits_2(self):
+        result = run_cli("sweep", "--frame-size", str(10**6))
+        assert result.returncode == 2
+        assert result.stderr == "error: 1000000 labels exceed the limit of 63\n"
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "sweep.csv"
         result = run_cli("sweep", "--output", str(target))
@@ -175,6 +195,11 @@ class TestGramCheck:
         result = run_cli("gram-check", "--n", "64")
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
+
+    def test_huge_frame_exits_2(self):
+        result = run_cli("gram-check", "--n", str(10**6))
+        assert result.returncode == 2
+        assert result.stderr == "error: 1000000 labels exceed the limit of 63\n"
 
     def test_help_names_the_cap(self):
         result = run_cli("gram-check", "--help")
@@ -203,6 +228,17 @@ class TestUsageErrors:
             "--pair", "m1", "m2", "--epsilon", "lots",
         )
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("command", [
+        ["measure", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2"],
+        ["combine", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2"],
+        ["sweep"],
+    ], ids=["measure", "combine", "sweep"])
+    def test_negative_precision(self, command):
+        result = run_cli(*command, "--precision", "-1")
+        assert result.returncode == 1
+        assert "--precision: expected a nonnegative integer" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_help_exits_0(self):
         result = run_cli("--help")

@@ -1,6 +1,7 @@
 """Frames, subset masks, and BPA construction."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,16 @@ class TestFrame:
         ds.make_frame(f"h{i}" for i in range(63))  # at the cap: fine
         with pytest.raises(ds.FrameTooLargeError):
             ds.make_frame(f"h{i}" for i in range(64))
+
+    def test_numbered_frame_size_checked_before_labels_are_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ds.FrameTooLargeError, match="1000000 labels"):
+                ds.sweep_frame(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_value_equality(self):
         assert ds.make_frame(["a", "b"]) == ds.make_frame(["a", "b"])

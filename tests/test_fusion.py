@@ -5,6 +5,7 @@ import math
 import pytest
 
 import dsconflict as ds
+import oracles
 
 
 @pytest.fixture
@@ -72,6 +73,37 @@ def test_near_total_conflict_raises(frame):
     m2 = ds.make_bpa(frame, [(["A2"], 1.0)])
     with pytest.raises(ds.TotalConflictError):
         ds.combine_dempster(m1, m2)
+
+
+def test_inputs_summing_to_one_within_tolerance_combine_to_one():
+    # both inputs are accepted as they stand, but m1 sums to 1 + 4e-10; under
+    # k close to 1, dividing by 1 - k would leave the result 2e-3 off 1
+    frame = ds.make_frame(["a", "b"])
+    m1 = ds.MassFunction(frame, {0b01: 1 - 1e-7 + 4e-10, 0b11: 1e-7})
+    m2 = ds.MassFunction(frame, {0b10: 1 - 1e-7, 0b11: 1e-7})
+    result = ds.combine_dempster(m1, m2)
+    assert abs(math.fsum(result.combined.focal.values()) - 1.0) <= 1e-9
+    assert (result.k, dict(result.combined.items())) == oracles.sparse_dempster(m1, m2)
+
+
+def test_vacuous_is_neutral_when_masses_sum_below_one():
+    # these masses fsum to 1 - 2**-53: dividing by that sum, rather than by
+    # 1 - k = 1, would change them
+    frame = ds.make_frame(["h1", "h2", "h3"])
+    m = ds.MassFunction(frame, {0b001: 0.008, 0b010: 0.088, 0b011: 0.208, 0b100: 0.696})
+    assert math.fsum(m.focal.values()) < 1.0
+    for result in (ds.combine_dempster(m, ds.vacuous_bpa(frame)),
+                   ds.combine_dempster(ds.vacuous_bpa(frame), m)):
+        assert dict(result.combined.items()) == dict(m.items())
+
+
+def test_underflowed_group_is_dropped(frame):
+    # 1e-170 * 1e-170 underflows to 0.0, the only product landing on {A2}
+    m1 = ds.MassFunction(frame, {0b0011: 1e-170, frame.full_mask: 1.0})
+    m2 = ds.MassFunction(frame, {0b0110: 1e-170, frame.full_mask: 1.0})
+    combined = ds.combine_dempster(m1, m2).combined
+    assert set(combined.focal) == {0b0011, 0b0110, frame.full_mask}
+    assert all(value > 0.0 for value in combined.focal.values())
 
 
 def test_vacuous_is_neutral(frame):

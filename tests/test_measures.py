@@ -374,3 +374,11 @@ class TestConflictReport:
         m1, m2 = pair1
         with pytest.raises(ds.BadThresholdError):
             ds.conflict_report(m1, m2, epsilon=1.0)
+
+    @pytest.mark.parametrize("epsilon", ["0.5", "x", [0.5], True])
+    def test_threshold_that_is_not_a_number(self, pair1, epsilon):
+        m1, m2 = pair1
+        with pytest.raises(ds.BadThresholdError, match="not a number"):
+            ds.conflict_report(m1, m2, epsilon)
+        with pytest.raises(ds.BadThresholdError, match="not a number"):
+            ds.liu_cf(m1, m2, epsilon)

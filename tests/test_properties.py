@@ -241,6 +241,19 @@ class TestSparseReference:
         assert result.k == k
         assert dict(result.combined.items()) == masses
 
+    @given(wide_pairs())
+    def test_combination_is_a_valid_bpa(self, pair):
+        # the combined BPA is built without validation: validating it again
+        # must change nothing
+        try:
+            combined = ds.combine_dempster(*pair).combined
+        except ds.TotalConflictError:
+            return
+        masses = dict(combined.items())
+        assert dict(ds.MassFunction(combined.frame, masses).items()) == masses
+        assert all(value > 0.0 for value in masses.values())
+        assert list(masses) == sorted(masses)
+
     @given(wide_pairs(sizes=st.just(63)))
     def test_commutative_exactly_at_63(self, pair):
         m1, m2 = pair
@@ -263,6 +276,11 @@ class TestPignistic:
         assert len(betp.probabilities) == m.frame.size
         assert all(p >= 0.0 for p in betp.probabilities)
         assert abs(math.fsum(betp.probabilities) - 1.0) <= 1e-9
+
+    @given(wide_pairs())
+    def test_equals_sparse_reference(self, pair):
+        for m in pair:
+            assert ds.pignistic(m).probabilities == oracles.sparse_pignistic(m)
 
     @given(bpa_pairs())
     def test_dif_betp_matches_brute_force(self, pair):
