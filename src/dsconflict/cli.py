@@ -45,13 +45,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+#: The most decimals ``--precision`` takes.  Every rendered value lies in
+#: [0, 1], and 17 significant digits identify any double, so 17 decimals show
+#: all a value of 0.1 or more holds; each further decimal only adds bytes.
+MAX_PRECISION = 17
+
+
 def _digits(text: str) -> int:
-    """``--precision``: a format precision must be a nonnegative integer."""
+    """``--precision``: an integer from 0 to :data:`MAX_PRECISION`."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer, got {text!r}"
         )
-    return int(text)
+    digits = int(text)
+    if digits > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_PRECISION} decimals, got {digits}"
+        )
+    return digits
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -150,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_precision(p: argparse.ArgumentParser) -> None:
         p.add_argument("--precision", type=_digits, default=4, metavar="DIGITS",
-                       help="decimal digits in rendered values (default 4)")
+                       help="decimal digits in rendered values, 0 to "
+                            f"{MAX_PRECISION} (default 4)")
 
     measure = commands.add_parser(
         "measure", help="evaluate all measures for one pair of BPAs"

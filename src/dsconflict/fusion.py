@@ -1,5 +1,6 @@
 """Dempster's rule of combination, the classical conflict coefficient, and
-the one focal-pair kernel that every pairwise measure is built on."""
+the focal-pair kernels that every pairwise measure is built on: the cross
+terms of two BPAs and the symmetric Jaccard self-form of one."""
 
 from __future__ import annotations
 
@@ -51,18 +52,41 @@ def _focal_arrays(focal: Mapping[SubsetMask, float]) -> _Focal:
 
 
 def _pair_terms(x: _Focal, y: _Focal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one place focal-pair terms are formed: for every pair (A, B) of
-    ``x`` and ``y``, the intersection A & B, the product wx * wy and the
-    Jaccard-weighted product wx * wy * |A & B| / |A | B| (unions of focal
-    masks are nonempty).  Each is the IEEE product a per-pair loop gives."""
+    """The cross focal-pair terms: for every pair (A, B) of ``x`` and ``y``,
+    the intersection A & B, the product wx * wy and the Jaccard-weighted
+    product J(A, B) * (wx * wy), with J = |A & B| / |A | B| (unions of focal
+    masks are nonempty) divided in float64 from the two popcounts.  Each is
+    the IEEE product a per-pair loop gives."""
     (xm, xw), (ym, yw) = x, y
     inter = np.bitwise_and.outer(xm, ym)
-    weighted = np.bitwise_count(inter).astype(np.float64)
-    # The union temporary dies before ``prod`` exists: three arrays live.
-    weighted /= np.bitwise_count(np.bitwise_or.outer(xm, ym))
+    # The union dies before ``prod`` exists: three arrays live.
+    weighted = np.bitwise_count(inter) / np.bitwise_count(np.bitwise_or.outer(xm, ym))
     prod = np.multiply.outer(xw, yw)
     weighted *= prod
     return inter, prod, weighted
+
+
+def _self_form(x: _Focal) -> float:
+    """The Jaccard self-form: the sum of J(A, B) * (wA * wB) over all ordered
+    focal pairs of ``x``, equal bit for bit to ``_fsum`` of
+    ``_pair_terms(x, x)[2]`` but formed from the upper triangle.
+
+    J(A, A) = 1, so the diagonal terms are wA * wA.  An off-diagonal term is
+    formed as in :func:`_pair_terms` and is bit-equal to its mirror image, so
+    it enters once, doubled, which is exact; pairs with an empty
+    intersection give exact zeros and are skipped.  The exact sum is then the
+    full square's, and ``fsum`` rounds it correctly to the same float.
+    """
+    m, w = x
+    rows = np.arange(len(m))
+    nonzero = np.bitwise_and.outer(m, m) != 0
+    i, j = np.divmod(np.flatnonzero(nonzero & (rows[:, None] < rows)), len(m))
+    shared = np.bitwise_count(m[i] & m[j])
+    counts = np.bitwise_count(m)  # |A | B| = |A| + |B| - |A & B| <= 126 fits uint8
+    weighted = shared / (counts[i] + counts[j] - shared)
+    weighted *= w[i] * w[j]
+    weighted *= 2.0
+    return _fsum(np.concatenate((w * w, weighted)))
 
 
 def _fsum(terms: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """End-to-end command line tests (subprocess, real exit codes)."""
 
 import csv
+import io
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ import pytest
 
 import dsconflict as ds
 from dsconflict import document
+from dsconflict.cli import MAX_PRECISION
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -211,6 +214,23 @@ class TestGramCheck:
         assert result.returncode == 2
 
 
+PRECISION_COMMANDS = [
+    ["measure", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2"],
+    ["combine", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2"],
+    ["sweep"],
+]
+PRECISION_IDS = ["measure", "combine", "sweep"]
+
+
+def rendered_values(command: str, result) -> list[str]:
+    """The values a command rounds to ``--precision`` decimals."""
+    if command == "sweep":
+        rows = csv.DictReader(io.StringIO(result.stdout))
+        return [row[f"{c}_rounded"] for row in rows for c in ("k_r", "d_bba", "k")]
+    text = result.stderr if command == "combine" else result.stdout  # combine: k
+    return re.findall(r"\d+\.\d+", text)
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert run_cli().returncode == 1
@@ -239,6 +259,22 @@ class TestUsageErrors:
         assert result.returncode == 1
         assert "--precision: expected a nonnegative integer" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", PRECISION_COMMANDS, ids=PRECISION_IDS)
+    def test_precision_at_the_cap(self, command):
+        result = run_cli(*command, "--precision", str(MAX_PRECISION))
+        assert result.returncode == 0, result.stderr
+        values = rendered_values(command[0], result)
+        assert values
+        assert all(len(v.split(".")[1]) == MAX_PRECISION for v in values)
+
+    @pytest.mark.parametrize("command", PRECISION_COMMANDS, ids=PRECISION_IDS)
+    def test_precision_above_the_cap(self, command):
+        result = run_cli(*command, "--precision", str(MAX_PRECISION + 1))
+        assert result.returncode == 1
+        assert f"--precision: at most {MAX_PRECISION} decimals" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
     def test_help_exits_0(self):
         result = run_cli("--help")

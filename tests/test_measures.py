@@ -1,7 +1,10 @@
 """Unit tests for the pairwise measures, pinned to reference values."""
 
 import math
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -382,3 +385,39 @@ class TestConflictReport:
             ds.conflict_report(m1, m2, epsilon)
         with pytest.raises(ds.BadThresholdError, match="not a number"):
             ds.liu_cf(m1, m2, epsilon)
+
+
+class TestQuietLibrary:
+    # A caller that reads a result from its own stdout, as a benchmark
+    # harness does, breaks if a library call or interpreter exit prints.
+    SCRIPT = """
+import sys
+import dsconflict as ds
+from dsconflict import document
+
+doc = document.load(sys.argv[1])
+m1, m2 = doc.bpa("m1"), doc.bpa("m2")
+ds.conflict_report(m1, m2, 0.5)
+ds.liu_cf(m1, m2, 0.5)
+ds.song_cor(m1, m2)
+ds.pignistic(m1)
+try:
+    ds.combine_dempster(doc.bpa("m1_revised"), doc.bpa("m2_revised"))
+except ds.TotalConflictError:
+    pass
+fused = ds.combine_dempster(m1, doc.bpa("m1_revised")).combined
+document.dumps(document.BpaDocument(frame=doc.frame, bpas={"fused": fused}))
+ds.gram_positive_definite(ds.make_frame("abcdef"))
+ds.sweep_csv(ds.sweep_rows(8))
+"""
+
+    def test_library_calls_write_nothing_to_stdout(self):
+        path = pathlib.Path(__file__).parent / "data" / "example1.json"
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == ""

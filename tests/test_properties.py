@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dsconflict as ds
 import oracles
+from dsconflict.fusion import _focal_arrays, _fsum, _pair_terms, _self_form
 from dsconflict.measures import _positive_definite
 from generators import LABEL_POOL
 
@@ -267,6 +270,88 @@ class TestSparseReference:
         backward = ds.combine_dempster(m2, m1)
         assert forward.k == backward.k
         assert dict(forward.combined.items()) == dict(backward.combined.items())
+
+
+@st.composite
+def signed_supports(draw):
+    """Masks with signed weights that share one scale, from 1 down to about
+    2^-560, so that at the small end every product of two weights is
+    subnormal or underflows, and so is the sum; masks are biased to the top
+    bit of the frame, bit 62 at N = 63."""
+    n = draw(st.integers(1, 63) | st.just(63))
+    full, top = (1 << n) - 1, 1 << (n - 1)
+    masks = draw(st.lists(
+        st.integers(1, full) | st.integers(0, full >> 1).map(lambda m: m | top),
+        max_size=40,
+        unique=True,
+    ))
+    scale = draw(st.integers(-560, 0) | st.integers(-540, -525))
+    weight = st.builds(
+        lambda mantissa, exponent, negative: math.copysign(
+            math.ldexp(mantissa, scale + exponent), -1.0 if negative else 1.0
+        ),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.integers(-8, 0),
+        st.booleans(),
+    )
+    weights = draw(st.lists(weight, min_size=len(masks), max_size=len(masks)))
+    return np.array(masks, np.uint64), np.array(weights, np.float64)
+
+
+def full_square(x) -> float:
+    """The self-form summed over every ordered focal pair."""
+    return _fsum(_pair_terms(x, x)[2])
+
+
+def dense_bpa(rng: random.Random, frame: ds.Frame, count: int) -> ds.MassFunction:
+    """``count`` distinct focal sets of assorted densities."""
+    masks: set[int] = set()
+    while len(masks) < count:
+        keep = rng.choice((0.05, 0.2, 0.5))
+        mask = sum(1 << i for i in range(frame.size) if rng.random() < keep)
+        masks.add(mask or frame.full_mask)
+    weights = [rng.randint(1, 99) for _ in masks]
+    total = float(sum(weights))
+    return ds.MassFunction(frame, {m: w / total for m, w in zip(masks, weights)})
+
+
+class TestSelfForm:
+    """The upper-triangle self-form equals the full-square sum exactly."""
+
+    @given(wide_pairs())
+    def test_equals_full_square_on_differences(self, pair):
+        m1, m2 = pair
+        f1, f2 = m1.focal, m2.focal
+        diff = {a: f1.get(a, 0.0) - f2.get(a, 0.0) for a in f1.keys() | f2.keys()}
+        u = _focal_arrays({a: d for a, d in diff.items() if d != 0.0})
+        assert _self_form(u) == full_square(u)
+        for m in pair:
+            x = _focal_arrays(m.focal)
+            assert _self_form(x) == full_square(x)
+
+    @given(signed_supports())
+    def test_equals_full_square_on_signed_weights(self, x):
+        assert _self_form(x) == full_square(x)
+
+    def test_empty_support_is_zero(self):
+        empty = (np.zeros(0, np.uint64), np.zeros(0))
+        assert _self_form(empty) == full_square(empty) == 0.0
+
+    @pytest.mark.parametrize("weight", [1.0, -0.375, 2.0**-530])
+    def test_single_focal_set_is_its_square(self, weight):
+        x = (np.array([1 << 62], np.uint64), np.array([weight]))
+        assert _self_form(x) == full_square(x) == weight * weight
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_self_comparison_exact_beyond_the_oracles(self, seed):
+        rng = random.Random(seed)
+        frame = ds.make_frame(LABEL_POOL[:63])
+        m = dense_bpa(rng, frame, 300 + 40 * seed)
+        assert ds.correlation_degree(m, m) == _self_form(_focal_arrays(m.focal))
+        assert ds.jousselme_distance(m, m) == 0.0
+        assert ds.correlation_coefficient(m, m) == 1.0
+        report = ds.conflict_report(m, m)
+        assert (report.d_bba, report.r_bpa, report.k_r) == (0.0, 1.0, 0.0)
 
 
 class TestPignistic:
