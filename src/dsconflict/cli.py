@@ -117,10 +117,9 @@ def _cmd_combine(args: argparse.Namespace) -> int:
         frame=document.frame,
         bpas={f"{name1}+{name2}": result.combined},
     )
-    text = dumps(combined)
     note = f"k = {result.k:.{args.precision}f}\n"
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(combined))
         sys.stderr.write(note)
     else:
         dump(combined, args.output)

@@ -61,7 +61,7 @@ class Frame:
     """
 
     labels: tuple[str, ...]
-    _index: Mapping[str, int] = field(
+    _bits: dict[str, SubsetMask] = field(  # label -> bit: the one label table
         init=False, repr=False, compare=False, hash=False
     )
     _full_mask: SubsetMask = field(init=False, repr=False, compare=False)
@@ -76,15 +76,15 @@ class Frame:
                 raise UnknownLabelError(
                     f"labels must be non-empty strings, got {label!r}"
                 )
-        index: dict[str, int] = {}
+        bits: dict[str, SubsetMask] = {}
         for i, label in enumerate(labels):
-            if label in index:
+            if label in bits:
                 raise DuplicateLabelError(
                     f"label {label!r} appears more than once"
                 )
-            index[label] = i
+            bits[label] = 1 << i
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", MappingProxyType(index))
+        object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_full_mask", (1 << len(labels)) - 1)
 
     @property
@@ -97,17 +97,21 @@ class Frame:
         return self._full_mask
 
     def index(self, label: str) -> int:
+        return self.subset((label,)).bit_length() - 1
+
+    def subset(self, members: Iterable[str]) -> SubsetMask:
+        """The mask of ``members``.  Anything that is not a frame label, or
+        not iterable, raises :class:`UnknownLabelError`."""
+        bits = self._bits
+        mask = 0
+        label: object = members
         try:
-            return self._index[label]
-        except KeyError:
+            for label in members:
+                mask |= bits[label]
+        except (KeyError, TypeError):
             raise UnknownLabelError(
                 f"label {label!r} is not part of the frame"
             ) from None
-
-    def subset(self, members: Iterable[str]) -> SubsetMask:
-        mask = 0
-        for label in members:
-            mask |= 1 << self.index(label)
         return mask
 
     def members(self, mask: SubsetMask) -> tuple[str, ...]:
@@ -246,7 +250,9 @@ def _focal_masses(
     focal: dict[SubsetMask, float] = {}
     for mask, value in entries:
         frame._check_mask(mask)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        if type(value) is not float and (
+            not isinstance(value, numbers.Real) or isinstance(value, bool)
+        ):
             raise NegativeMassError(
                 f"mass {value!r} on {set_to_text(frame, mask)} is not a number"
             )

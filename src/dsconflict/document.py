@@ -13,9 +13,10 @@ The document layout::
 Parsing is strict: unknown keys, wrong types, unknown labels, negative,
 non-finite or unnormalized masses all raise
 :class:`~dsconflict.errors.DocumentError` whose ``where`` attribute points at
-the offending element (``bpas[1].masses[0].mass`` and the like).  The mass
-rules themselves are :mod:`dsconflict.core`'s; this module checks the layout
-and maps each rule's error to its position.
+the offending element (``bpas[1].masses[0].mass`` and the like).  The label
+and mass rules themselves are :mod:`dsconflict.core`'s (``Frame.subset`` and
+the BPA validator); this module checks the layout and maps each rule's error
+to its position.
 """
 
 from __future__ import annotations
@@ -69,18 +70,19 @@ def _require(condition: bool, where: str, message: str) -> None:
 def _require_object(value: object, where: str, keys: tuple[str, ...]) -> dict:
     _require(isinstance(value, dict), where, "expected an object")
     assert isinstance(value, dict)
-    for key in value:
-        _require(
-            key in keys,
-            f"{where}.{key}" if where else str(key),
-            f"unknown key (expected {', '.join(repr(k) for k in keys)})",
-        )
-    for key in keys:
-        _require(
-            key in value,
-            where or key,
-            f"missing required key {key!r}",
-        )
+    if value.keys() != set(keys):  # the loops only say what is wrong
+        for key in value:
+            _require(
+                key in keys,
+                f"{where}.{key}" if where else str(key),
+                f"unknown key (expected {', '.join(repr(k) for k in keys)})",
+            )
+        for key in keys:
+            _require(
+                key in value,
+                where or key,
+                f"missing required key {key!r}",
+            )
     return value
 
 
@@ -100,15 +102,6 @@ def _require_string(value: object, where: str) -> str:
     return value
 
 
-def _require_number(value: object, where: str) -> object:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        where,
-        "expected a number",
-    )
-    return value
-
-
 def _parse_frame(value: object) -> Frame:
     items = _require_list(value, "frame")
     labels = [
@@ -124,8 +117,8 @@ def _parse_bpa(frame: Frame, value: object, where: str) -> tuple[str, MassFuncti
     entry = _require_object(value, where, ("name", "masses"))
     name = _require_string(entry["name"], f"{where}.name")
     items = _require_list(entry["masses"], f"{where}.masses")
-    # The core validates each entry as it is drawn, so ``spot`` names the
-    # entry it rejects, or the whole list once every entry has been drawn.
+    # The frame and the core check each entry as it is drawn, so ``spot``
+    # names the entry they reject, or the whole list once all are drawn.
     spot = f"{where}.masses"
 
     def masks_and_masses() -> Iterator[tuple[int, object]]:
@@ -134,14 +127,13 @@ def _parse_bpa(frame: Frame, value: object, where: str) -> tuple[str, MassFuncti
             spot = f"{where}.masses[{j}]"
             record = _require_object(item, spot, ("set", "mass"))
             members = _require_list(record["set"], f"{spot}.set")
-            for p, label in enumerate(members):
-                _require_string(label, f"{spot}.set[{p}]")
-            mass = _require_number(record["mass"], f"{spot}.mass")
             try:
                 mask = frame.subset(members)
             except UnknownLabelError as exc:
+                for p, label in enumerate(members):  # name a malformed member
+                    _require_string(label, f"{spot}.set[{p}]")
                 raise DocumentError(f"{spot}.set", str(exc)) from exc
-            yield mask, mass
+            yield mask, record["mass"]
         spot = f"{where}.masses"
 
     try:
@@ -190,7 +182,7 @@ def load(path: str | os.PathLike[str]) -> BpaDocument:
 
 
 def dumps(document: BpaDocument) -> str:
-    """Serialize a document to JSON text (full float precision)."""
+    """Serialize a document to compact JSON text (full float precision)."""
     payload = {
         "frame": list(document.frame.labels),
         "bpas": [
@@ -207,7 +199,7 @@ def dumps(document: BpaDocument) -> str:
             for name, bpa in document.bpas.items()
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def dump(document: BpaDocument, path: str | os.PathLike[str]) -> None:

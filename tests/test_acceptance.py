@@ -20,6 +20,7 @@ import random
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import dsconflict as ds
@@ -198,7 +199,10 @@ def test_acceptance_4_example3():
 # Reference columns as printed (4 decimals), with one erratum corrected:
 #   * the printed k_r column disagrees with exact evaluation by up to ~4e-3
 #     (e.g. row {1}: exact 0.7363..., printed 0.7348), hence the 5e-3 band;
-#     REFERENCE_KR is kept exactly as printed;
+#     REFERENCE_KR is kept exactly as printed.  The column is the exact k_r
+#     of a different input, with m1's 0.1 on Theta minus {10} instead of on
+#     Theta, rounded to 4 decimals on all 20 rows (_exact_sweep_kr and the
+#     two test_sweep_kr_* checks below);
 #   * the d_bba column is the exact distance rounded to 4 decimals on every
 #     row but {1,2}.  That row is exactly sqrt(943/2000) = 0.686658576...,
 #     which rounds to 0.6867; the table prints 0.6866, its truncation.  The
@@ -251,13 +255,53 @@ def _exact_sweep_d2(size: int = 20) -> list[Fraction]:
             (frozenset(range(1, 6)), Fraction(-1)),
         ):
             delta[focal] = delta.get(focal, Fraction(0)) + mass
-        total = sum(
-            a * b * Fraction(len(x & y), len(x | y))
-            for x, a in delta.items()
-            for y, b in delta.items()
-        )
-        squares.append(total / 2)
+        squares.append(_jaccard_form(delta, delta) / 2)
     return squares
+
+
+def _jaccard_form(p: dict, q: dict) -> Fraction:
+    """sum over A, B of p(A) q(B) |A & B| / |A | B|, exactly."""
+    return sum(
+        a * b * Fraction(len(x & y), len(x | y))
+        for x, a in p.items()
+        for y, b in q.items()
+    )
+
+
+def _exact_sweep_kr(theta: frozenset[int]) -> list[Decimal]:
+    """k_r = 1 - c12 / sqrt(c11 * c22) of every N = 20 sweep row, with m1's
+    1/10 on ``theta`` instead of on the frame.
+
+    The c's are exact ``Fraction``s; only the square root and the division
+    are ``Decimal``, at 40 digits, far below the 5e-5 a rounding check needs.
+    """
+    m2 = {frozenset(range(1, 6)): Fraction(1)}
+    values = []
+    for upto in range(1, 21):
+        m1: dict[frozenset[int], Fraction] = {}
+        for focal, mass in (
+            (frozenset({2, 3, 4}), Fraction(1, 20)),
+            (frozenset({7}), Fraction(1, 20)),
+            (theta, Fraction(1, 10)),
+            (frozenset(range(1, upto + 1)), Fraction(4, 5)),
+        ):
+            m1[focal] = m1.get(focal, Fraction(0)) + mass
+        c12 = _jaccard_form(m1, m2)
+        c11_c22 = _jaccard_form(m1, m1) * _jaccard_form(m2, m2)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            root = (Decimal(c11_c22.numerator) / c11_c22.denominator).sqrt()
+            values.append(1 - Decimal(c12.numerator) / c12.denominator / root)
+    return values
+
+
+def _kr_rows_off_reference(values: list[Decimal]) -> list[int]:
+    """Rows whose REFERENCE_KR entry is not ``values``' 4-decimal rounding."""
+    half_unit = Decimal(1) / 20000
+    return [
+        i for i, (value, ref) in enumerate(zip(values, REFERENCE_KR))
+        if not abs(value - Decimal(str(ref))) < half_unit
+    ]
 
 
 def _sqrt_within(square: Fraction, centre: Fraction, tol: Fraction) -> bool:
@@ -326,6 +370,20 @@ def test_acceptance_5_sweep():
         if not all(column[i] < column[i + 1] for i in range(4, 19)):
             problems.append(f"{name} not strictly increasing past the minimum")
     _verdict(5, problems)
+
+
+def test_sweep_kr_reference_is_rounded_theta_minus_10():
+    # Erratum: the printed k_r column is the exact k_r of an input whose
+    # "Theta" mass sits on Theta minus {10}, rounded to 4 decimals.
+    off = _kr_rows_off_reference(_exact_sweep_kr(frozenset(range(1, 21)) - {10}))
+    assert off == []
+
+
+def test_sweep_kr_full_theta_misses_reference():
+    # Negative control: the input the text defines, m1's 1/10 on the whole
+    # frame, is not what the column rounds, at {1} and {1..10} among others.
+    off = _kr_rows_off_reference(_exact_sweep_kr(frozenset(range(1, 21))))
+    assert {0, 9} <= set(off)
 
 
 # --------------------------------------------------------------------------

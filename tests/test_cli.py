@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import dsconflict as ds
-from dsconflict import document
+from dsconflict import cli, document
 from dsconflict.cli import MAX_PRECISION
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -121,6 +121,25 @@ class TestCombine:
         frame = doc.frame
         mask = frame.subset(["A3"])
         assert abs(combined.mass(mask) - 1.0) <= 1e-9
+
+    def test_output_file_serializes_once(self, tmp_path, monkeypatch, capsys):
+        real, calls = document.dumps, []
+
+        def counting(doc):
+            calls.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(document, "dumps", counting)  # what dump calls
+        monkeypatch.setattr(cli, "dumps", counting)
+        target = tmp_path / "combined.json"
+        code = cli.run([
+            "combine", "--input", str(DATA / "example1.json"),
+            "--pair", "m1", "m2", "--output", str(target),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == f"k = 0.9900\nwrote {target}\n"
+        assert len(calls) == 1
+        assert json.loads(target.read_text()) == json.loads(real(calls[0]))
 
     def test_inputs_summing_to_one_within_tolerance(self, tmp_path):
         # a valid pair under high conflict; dividing by 1 - k failed to sum to 1

@@ -70,6 +70,26 @@ class TestSubsets:
         with pytest.raises(ds.UnknownLabelError):
             frame.subset(["a", "nope"])
 
+    @pytest.mark.parametrize(
+        "resolve",
+        [
+            lambda frame: frame.subset([["a"]]),
+            lambda frame: frame.index(["a"]),
+            lambda frame: ds.make_bpa(frame, [([["a"]], 1.0)]),
+            lambda frame: frame.subset(7),
+        ],
+        ids=["subset", "index", "make_bpa", "not-iterable"],
+    )
+    def test_unhashable_label_is_unknown(self, resolve):
+        # an unhashable label used to escape as a bare TypeError
+        frame = ds.make_frame(["a", "b"])
+        with pytest.raises(ds.UnknownLabelError, match="is not part of the frame"):
+            resolve(frame)
+
+    def test_index_from_the_label_table(self):
+        frame = ds.make_frame(["a", "b", "c"])
+        assert [frame.index(label) for label in "abc"] == [0, 1, 2]
+
     def test_render_out_of_range_mask(self):
         frame = ds.make_frame(["a", "b"])
         with pytest.raises(ds.UnknownLabelError):

@@ -493,6 +493,24 @@ class TestValidationNeverEscapes:
             return
         _assert_valid(m)
 
+    @given(
+        st.lists(
+            st.tuples(
+                _mostly(st.lists(_mostly(st.sampled_from(["h1", "h2", "h3"])), max_size=3)),
+                _MASSES,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_make_bpa_valid_or_validation_error(self, assignments):
+        frame = ds.make_frame(["h1", "h2", "h3"])
+        try:
+            m = ds.make_bpa(frame, assignments)
+        except ds.ValidationError:
+            return
+        _assert_valid(m)
+
     @given(_fuzzed_documents())
     def test_loads_valid_or_document_error(self, text):
         try:
