@@ -21,6 +21,7 @@ to its position.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -209,17 +210,22 @@ def dump(document: BpaDocument, path: str | os.PathLike[str]) -> None:
 
 def _write_atomic(path: str | os.PathLike[str], text: str) -> None:
     """Write ``text`` to ``path`` through a temp file in the same directory
-    and a rename, so readers never see a partly written file."""
+    and a rename, so readers never see a partly written file.  On failure
+    the temp file is removed and the :class:`OSError` names ``path``
+    (``PATH: cannot write: Is a directory``); the cause keeps the original
+    error."""
     target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dsconflict-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(target) or ".", prefix=".dsconflict-"
+        )
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"{target}: cannot write: {exc.strerror or exc}") from exc

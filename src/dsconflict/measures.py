@@ -3,12 +3,14 @@
 The pairwise measures all share one precondition: both BPAs must live on the
 same frame.  Everything that only depends on focal elements is evaluated
 sparsely over ``uint64`` mask and ``float64`` mass arrays, built once per
-call.  Cross sums (k, c12) come from :func:`fusion._pair_terms`; the
-symmetric Jaccard self-forms (c11, c22 and the d_BBA quadratic form on
-m1 - m2) from :func:`fusion._self_form`, over the upper triangle with each
-off-diagonal term doubled exactly.  Each result is one ``math.fsum``:
-bit-identical to a per-pair loop over the full square, so symmetric, with
-d(m, m) = 0 and r(m, m) = 1 exactly.
+call.  Cross sums come from :func:`fusion._pair_terms` (k) and
+:func:`fusion._jaccard_weighted` (c12); the symmetric Jaccard self-forms
+(c11, c22 and the d_BBA quadratic form on m1 - m2) from
+:func:`fusion._self_form`, over the upper triangle with each off-diagonal
+term doubled exactly.  Each result is one correctly rounded sum,
+:func:`fusion._fsum`, which returns ``math.fsum``'s float: bit-identical to
+a per-pair loop over the full square, so symmetric, with d(m, m) = 0 and
+r(m, m) = 1 exactly.
 The cosine measure :func:`song_cor` is defined over the whole power set, but
 its inner products depend on each focal pair only through four set sizes, so
 they are closed-form sums over focal pairs and work at every frame size.  The
@@ -33,7 +35,15 @@ from .errors import (
     FrameTooLargeForCheckError,
     InternalConsistencyError,
 )
-from .fusion import _Focal, _focal_arrays, _fsum, _pair_terms, _self_form, conflict_k
+from .fusion import (
+    _Focal,
+    _focal_arrays,
+    _fsum,
+    _jaccard_weighted,
+    _pair_terms,
+    _self_form,
+    conflict_k,
+)
 
 __all__ = [
     "CLAMP_TOL",
@@ -61,8 +71,8 @@ CLAMP_TOL = 1e-12
 
 #: conflict_report computes ``cor`` only up to this frame size, although
 #: song_cor itself works on any frame.  On 30-63 hypotheses with 100-200 focal
-#: sets per BPA, cor costs about as much as the rest of the report plus a
-#: combination (7.9 ms against 8.1 ms per pair, best of 9 on a 2-core
+#: sets per BPA, cor costs about one and a half times the rest of the report
+#: plus a combination (6.7 ms against 4.6 ms per pair, best of 9 on a 2-core
 #: x86-64 host), and stays out of the report until a kernel fused with the
 #: focal-pair terms pays for it.
 SONG_COR_MAX_FRAME = 24
@@ -106,7 +116,7 @@ def correlation_degree(m1: MassFunction, m2: MassFunction) -> float:
 
 
 def _degree(x: _Focal, y: _Focal) -> float:
-    return _fsum(_pair_terms(x, y)[2])
+    return _fsum(_jaccard_weighted(x, y, *_pair_terms(x, y)))
 
 
 def correlation_coefficient(m1: MassFunction, m2: MassFunction) -> float:
@@ -479,9 +489,10 @@ def conflict_report(
     x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
     d = _distance(x, y)  # first: its arrays are the largest
     db = _dif_betp(x, y, n)
-    inter, prod, weighted = _pair_terms(x, y)
+    inter, prod = _pair_terms(x, y)
     k = _fsum(prod[inter == 0])
-    r = _coefficient(_fsum(weighted), _self_form(x), _self_form(y))
+    c12 = _fsum(_jaccard_weighted(x, y, inter, prod))
+    r = _coefficient(c12, _self_form(x), _self_form(y))
     # by its module name, so that a tracer wrapping song_cor sees the call
     cor = song_cor(m1, m2) if n <= SONG_COR_MAX_FRAME else None
     liu = None if epsilon is None else _liu(k, db, _check_threshold(epsilon))

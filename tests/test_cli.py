@@ -233,6 +233,37 @@ class TestGramCheck:
         assert result.returncode == 2
 
 
+class TestOutputErrors:
+    """A failed ``--output`` write names the user's path, exits 2 and leaves
+    no temp file behind."""
+
+    def test_missing_directory(self, tmp_path):
+        target = tmp_path / "nope" / "report.txt"
+        result = run_cli(
+            "measure", "--input", str(DATA / "example1.json"),
+            "--pair", "m1", "m2", "--output", str(target),
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {target}: cannot write: No such file or directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["sweep"],
+        ["combine", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2"],
+    ], ids=["sweep", "combine"])
+    def test_directory_target(self, tmp_path, command):
+        target = tmp_path / "out"
+        target.mkdir()
+        result = run_cli(*command, "--output", str(target))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {target}: cannot write: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(target.iterdir()) == []
+
+
 PRECISION_COMMANDS = [
     ["measure", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2"],
     ["combine", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2"],

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dsconflict as ds
 import oracles
-from dsconflict.fusion import _focal_arrays, _fsum, _pair_terms, _self_form
+from dsconflict.fusion import (
+    _FSUM_CROSSOVER,
+    _focal_arrays,
+    _fsum,
+    _jaccard_weighted,
+    _pair_terms,
+    _self_form,
+)
 from dsconflict.measures import _positive_definite
 from generators import LABEL_POOL
 
@@ -257,6 +265,43 @@ class TestSparseReference:
         assert all(value > 0.0 for value in masses.values())
         assert list(masses) == sorted(masses)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_many_focal_sets_equal_sparse_reference(self, seed):
+        # 60-150 focal sets a side: the sums run past _fsum's crossover
+        rng = random.Random(f"wide-reference:{seed}")
+        frame = ds.make_frame(LABEL_POOL[: rng.randint(30, 63)])
+        m1, m2 = (dense_bpa(rng, frame, rng.randint(60, 150)) for _ in "12")
+        assert len(m1) * len(m2) >= _FSUM_CROSSOVER
+        for a, b in ((m1, m2), (m2, m1), (m1, m1)):
+            k = oracles.sparse_conflict_k(a, b)
+            r = oracles.sparse_correlation_coefficient(a, b)
+            betp = zip(oracles.sparse_pignistic(a), oracles.sparse_pignistic(b))
+            db = math.fsum(d for d in (x - y for x, y in betp) if d > 0.0)
+            report = ds.conflict_report(a, b, 0.5)
+            assert report == ds.ConflictReport(
+                k=k,
+                d_bba=oracles.sparse_jousselme_distance(a, b),
+                dif_betp=db,
+                cor=None,  # above SONG_COR_MAX_FRAME
+                r_bpa=r,
+                k_r=1.0 - r,
+                liu=ds.LiuConflict(k, db, 0.5, k > 0.5 and db > 0.5),
+            )
+            c12 = oracles.sparse_correlation_degree(a, b)
+            assert ds.correlation_degree(a, b) == c12
+            result = ds.combine_dempster(a, b)
+            combined = dict(result.combined.items())
+            assert (result.k, combined) == oracles.sparse_dempster(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_many_focal_sets_song_cor_symmetric(self, seed):
+        rng = random.Random(f"wide-song:{seed}")
+        frame = ds.make_frame(LABEL_POOL[: rng.randint(12, ds.SONG_COR_MAX_FRAME)])
+        m1, m2 = (dense_bpa(rng, frame, rng.randint(60, 150)) for _ in "12")
+        value = ds.song_cor(m1, m2)
+        assert ds.song_cor(m2, m1) == value
+        assert ds.conflict_report(m1, m2).cor == value
+
     @given(wide_pairs(sizes=st.just(63)))
     def test_commutative_exactly_at_63(self, pair):
         m1, m2 = pair
@@ -300,7 +345,7 @@ def signed_supports(draw):
 
 def full_square(x) -> float:
     """The self-form summed over every ordered focal pair."""
-    return _fsum(_pair_terms(x, x)[2])
+    return _fsum(_jaccard_weighted(x, x, *_pair_terms(x, x)))
 
 
 def dense_bpa(rng: random.Random, frame: ds.Frame, count: int) -> ds.MassFunction:
@@ -352,6 +397,91 @@ class TestSelfForm:
         assert ds.correlation_coefficient(m, m) == 1.0
         report = ds.conflict_report(m, m)
         assert (report.d_bba, report.r_bpa, report.k_r) == (0.0, 1.0, 0.0)
+
+
+#: Tails that put the exact sum of a cancelling array on a rounding tie, or
+#: near one: 1 + 2^-53 rounds down to even, (1 + 2^-52) + 2^-53 up, 2^53 + 1
+#: down and 2^53 + 1 + 2^-60 up; 2^-30 - 2^-60 is exact, with one negative
+#: remainder below the first level.
+SUM_TAILS = [
+    (),
+    (1.0, 2.0**-53),
+    (1.0, 2.0**-54, 2.0**-54),
+    (1.0 + 2.0**-52, 2.0**-53),
+    (-(1.0 + 2.0**-52), -(2.0**-53)),
+    (2.0**53, 1.0),
+    (2.0**53, 1.0, 2.0**-60),
+    (2.0**-30, -(2.0**-60)),
+    (2.0**-1022, -(2.0**-1074)),
+]
+
+
+def _cancelling(terms: np.ndarray, tail, rng) -> np.ndarray:
+    """``terms``, their negations and ``tail``, shuffled: the exact sum is
+    the tail's."""
+    out = np.concatenate((terms, -terms, tail))
+    rng.shuffle(out)
+    return out
+
+
+@st.composite
+def sum_arrays(draw):
+    """1,500-10,000 floats, so that both sides of the crossover are drawn:
+    mixed signs with exponents from the subnormals up to the top of the
+    range, sprinkled with +-0.0, optionally cancelled exactly by their
+    negations plus a tie tail and, sometimes, with inf, -inf or NaN."""
+    size = draw(st.integers(1500, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-1080, 0))
+    high = draw(st.integers(low, 1024))
+    cancel = draw(st.booleans())
+    base = size // 2 if cancel else size
+    signs = rng.choice((-1.0, 1.0), base)
+    exponents = rng.integers(low, high, base, endpoint=True)
+    terms = np.ldexp(signs * rng.random(base), exponents)
+    zeros = rng.random(base) < draw(st.sampled_from((0.0, 0.01, 0.5, 1.0)))
+    terms[zeros] = rng.choice((0.0, -0.0), int(zeros.sum()))
+    if cancel:
+        terms = _cancelling(terms, draw(st.sampled_from(SUM_TAILS)), rng)
+    special = draw(st.sampled_from(((), (), (), (math.inf,), (-math.inf,),
+                                    (math.nan,), (math.inf, -math.inf))))
+    if special:
+        terms = np.insert(terms, rng.integers(0, len(terms), len(special)), special)
+    return terms
+
+
+def _sum_outcome(fsum, terms) -> str | type:
+    """The sum as ``float.hex``, or the type of the exception raised."""
+    try:
+        return fsum(terms).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestCorrectlyRoundedSum:
+    """``_fsum`` returns ``math.fsum``'s float bit for bit."""
+
+    @given(sum_arrays())
+    def test_equals_math_fsum(self, terms):
+        before = terms.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sum_outcome(_fsum, terms)
+        assert got == _sum_outcome(math.fsum, terms.tolist())
+        assert terms.tobytes() == before
+
+    @pytest.mark.parametrize("tail", SUM_TAILS)
+    def test_ties_on_cancelling_terms(self, tail):
+        rng = np.random.default_rng(len(tail))
+        terms = np.ldexp(rng.random(3000) - 0.5, rng.integers(-80, 40, 3000))
+        terms = _cancelling(terms, tail, rng)
+        assert _fsum(terms).hex() == math.fsum(terms.tolist()).hex()
+        assert _fsum(terms) == math.fsum(tail)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero(self, zero):
+        terms = np.full(5000, zero)
+        assert _fsum(terms).hex() == math.fsum(terms.tolist()).hex()
 
 
 class TestPignistic:
