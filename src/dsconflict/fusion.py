@@ -1,9 +1,9 @@
 """Dempster's rule of combination, the classical conflict coefficient, and
 the focal-pair kernels that every pairwise measure is built on: the cross
-terms of two BPAs, their Jaccard weighting and the symmetric Jaccard
-self-form of one.  Every sum of their terms is :func:`_fsum`, correctly
-rounded: ``math.fsum``'s float, from vectorised error-free extraction on
-long arrays."""
+terms of two BPAs, their Jaccard ratios and the symmetric Jaccard self-form
+terms of one.  Every sum of their terms is correctly rounded: the exact
+parts of one or more arrays (:func:`_exact_parts`, vectorised error-free
+extraction on long arrays) rounded once by ``math.fsum`` (:func:`_fsum`)."""
 
 from __future__ import annotations
 
@@ -62,44 +62,37 @@ def _pair_terms(x: _Focal, y: _Focal) -> tuple[np.ndarray, np.ndarray]:
     return np.bitwise_and.outer(xm, ym), np.multiply.outer(xw, yw)
 
 
-def _jaccard_weighted(
-    x: _Focal, y: _Focal, inter: np.ndarray, prod: np.ndarray
-) -> np.ndarray:
-    """The Jaccard-weighted cross terms J(A, B) * (wx * wy), from the
-    intersections and products of :func:`_pair_terms`.  J = |A & B| / |A | B|
-    (unions of focal masks are nonempty) is one float64 division of two
-    ``uint8`` counts, with |A | B| = |A| + |B| - |A & B| <= 126, so the union
-    itself is never formed."""
+def _jaccard(xm: np.ndarray, ym: np.ndarray, inter: np.ndarray) -> np.ndarray:
+    """J(A, B) = |A & B| / |A | B| for the outer intersections ``inter`` of
+    the masks ``xm`` and ``ym`` (unions of focal masks are nonempty): one
+    float64 division of two ``uint8`` counts, with
+    |A | B| = |A| + |B| - |A & B| <= 126, so the union itself is never
+    formed.  Multiplied by a product wx * wy, it gives the Jaccard-weighted
+    term a per-pair loop gives."""
     shared = np.bitwise_count(inter)
-    union = np.bitwise_count(x[0])[:, None] + np.bitwise_count(y[0]) - shared
-    weighted = shared / union
-    weighted *= prod
-    return weighted
+    return shared / (np.bitwise_count(xm)[:, None] + np.bitwise_count(ym) - shared)
 
 
-def _self_form(x: _Focal) -> float:
-    """The Jaccard self-form: the sum of J(A, B) * (wA * wB) over all ordered
-    focal pairs of ``x``, equal bit for bit to ``_fsum`` of
-    ``_jaccard_weighted(x, x, *_pair_terms(x, x))`` but formed from the upper
-    triangle.
+def _self_terms(x: _Focal) -> np.ndarray:
+    """The terms of the Jaccard self-form, the sum of J(A, B) * (wA * wB)
+    over all ordered focal pairs of ``x``, formed from the upper triangle:
+    their exact sum is the full square's.
 
     J(A, A) = 1, so the diagonal terms are wA * wA.  An off-diagonal term is
-    formed as in :func:`_jaccard_weighted` and is bit-equal to its mirror
-    image, so it enters once, doubled, which is exact; pairs with an empty
-    intersection give exact zeros and are skipped.  The exact sum is then the
-    full square's, and ``_fsum`` rounds it correctly to the same float.
+    formed as J(A, B) * (wA * wB), with J the float64 quotient of the
+    popcounts of A & B and A | B as in :func:`_jaccard`, and is bit-equal to
+    its mirror image, so it enters once, doubled, which is exact; pairs with
+    an empty intersection give exact zeros and are skipped.
     """
     m, w = x
     rows = np.arange(len(m))
     nonzero = np.bitwise_and.outer(m, m) != 0
-    i, j = np.divmod(np.flatnonzero(nonzero & (rows[:, None] < rows)), len(m))
-    shared = np.bitwise_count(m[i] & m[j])
-    counts = np.bitwise_count(m)  # |A | B| = |A| + |B| - |A & B| <= 126 fits uint8
-    weighted = shared / (counts[i] + counts[j] - shared)
+    i, j = np.divmod((nonzero & (rows[:, None] < rows)).ravel().nonzero()[0], len(m))
+    a, b = m[i], m[j]
+    weighted = np.bitwise_count(a & b) / np.bitwise_count(a | b)
     weighted *= w[i] * w[j]
     weighted *= 2.0
-    del i, j  # room for the temporaries of _fsum
-    return _fsum(np.concatenate((w * w, weighted)))
+    return np.concatenate((w * w, weighted))
 
 
 #: Sums of fewer terms go to ``math.fsum``, which is as fast at about 1,000
@@ -108,48 +101,55 @@ def _self_form(x: _Focal) -> float:
 _FSUM_CROSSOVER = 2048
 
 
+def _exact_parts(terms: np.ndarray) -> np.ndarray:
+    """Floats whose exact sum is the exact sum of ``terms``: the few levels
+    of an error-free extraction, or, where that does not pay or does not
+    apply, the terms themselves.  ``math.fsum`` of the parts of one array or
+    of several, concatenated, is the correctly rounded sum of all their
+    terms.  ``terms`` may have any shape and is only read.
+
+    Long arrays are split exactly into levels (S. M. Rump, T. Ogita and
+    S. Oishi, "Accurate floating-point summation part I: faithful rounding",
+    SIAM J. Sci. Comput. 31(1), 2008).  With n terms p of largest magnitude
+    M, take sigma, a power of two with sigma >= (n + 2) M.  Then
+    q = (sigma + p) - sigma and p - q are exact: sigma + p lies in
+    [sigma / 2, 2 sigma], so the subtraction is exact (Sterbenz), and p - q
+    is the rounding error of sigma + p.  Every q is a multiple of u sigma
+    (u = 2^-53) with |q| <= |p| + u sigma, and while n (n + 2) <= 2^54 the q
+    sum to at most sigma in magnitude, as does every partial sum: multiples
+    of u sigma that small are floats, so ``np.sum`` adds them exactly in any
+    order.  The remainders p - q are at most u sigma, so each level shrinks
+    M by a factor of about n u.  Every float is a multiple of 2^-1074, and
+    once sigma is subnormal or near it sigma + p is exact, q = p and the
+    remainders are all zero: the loop ends, after two or three levels on
+    mass products.  No level is -0.0, since (sigma + p) - sigma is not, so
+    an exact zero total still rounds to +0.0, as it does for any terms not
+    all -0.0.  Non-finite or near-overflow terms are their own parts, for
+    ``math.fsum``'s exceptions and its intermediate overflow.
+    """
+    n = terms.size
+    top = max(terms.max(), -terms.min()) if _FSUM_CROSSOVER <= n < 2**26 else 0.0
+    if not 0.0 < top <= 2.0**960:  # true for NaN and inf
+        return terms.ravel()
+    levels = []
+    rest = terms
+    while top:
+        sigma = math.ldexp(1.0, math.frexp((n + 2) * top)[1])
+        q = rest + sigma
+        q -= sigma
+        levels.append(q.sum())
+        rest = np.subtract(rest, q, out=q)  # never into the caller's array
+        top = max(rest.max(), -rest.min())
+    return np.array(levels)
+
+
 def _fsum(terms: np.ndarray) -> float:
     """The correctly rounded sum of ``terms``: the float ``math.fsum``
     returns, bit for bit, and so independent of the order of the terms.
-
-    Short arrays go to ``math.fsum`` itself.  Longer ones are split exactly
-    into levels by error-free extraction (S. M. Rump, T. Ogita and S. Oishi,
-    "Accurate floating-point summation part I: faithful rounding", SIAM J.
-    Sci. Comput. 31(1), 2008), and ``math.fsum`` rounds the few level sums.
-    With n terms p of largest magnitude M, take sigma, a power of two with
-    sigma >= (n + 2) M.  Then q = (sigma + p) - sigma and p - q are exact:
-    sigma + p lies in [sigma / 2, 2 sigma], so the subtraction is exact
-    (Sterbenz), and p - q is the rounding error of sigma + p.  Every q is a
-    multiple of u sigma (u = 2^-53) with |q| <= |p| + u sigma, and while
-    n (n + 2) <= 2^54 the q sum to at most sigma in magnitude, as does every
-    partial sum: multiples of u sigma that small are floats, so ``np.sum``
-    adds them exactly in any order.  The remainders p - q are at most
-    u sigma, so each level shrinks M by a factor of about n u.  Every float
-    is a multiple of 2^-1074, and once sigma is subnormal or near it
-    sigma + p is exact, q = p and the remainders are all zero: the loop
-    ends, after two or three levels on mass products.  The levels then sum
-    exactly to the sum of the terms.  Non-finite or near-overflow terms keep
-    ``math.fsum``, for its exceptions and its intermediate overflow, and so
-    does an exact zero, for its sign of zero.  ``terms`` is only read.
-    """
-    p = terms.ravel()
-    n = len(p)
-    top = max(p.max(), -p.min()) if _FSUM_CROSSOVER <= n < 2**26 else 0.0
-    if 0.0 < top <= 2.0**960:  # false for NaN and inf
-        levels = []
-        rest = p
-        while top:
-            sigma = math.ldexp(1.0, math.frexp((n + 2) * top)[1])
-            q = rest + sigma
-            q -= sigma
-            levels.append(q.sum())
-            rest = np.subtract(rest, q, out=q)  # never into the caller's array
-            top = max(rest.max(), -rest.min())
-        total = math.fsum(levels)
-        if total:
-            return total
+    Short arrays go to ``math.fsum`` itself; longer ones through the levels
+    of :func:`_exact_parts`."""
     # a memoryview yields the entries as Python floats without building a list
-    return math.fsum(memoryview(p))
+    return math.fsum(memoryview(_exact_parts(terms)))
 
 
 def conflict_k(m1: MassFunction, m2: MassFunction) -> float:
@@ -173,12 +173,12 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     """
     frame = require_same_frame(m1, m2)
     inter, prod = _pair_terms(_focal_arrays(m1.focal), _focal_arrays(m2.focal))
-    order = np.argsort(inter, axis=None)
-    keys = inter.ravel()[order]
-    values = prod.ravel()[order]
-    disjoint = int(np.searchsorted(keys, 1))  # disjoint pairs sort first
-    k = _fsum(values[:disjoint])
-    keys, values = keys[disjoint:], values[disjoint:]
+    disjoint = inter == 0
+    k = _fsum(prod[disjoint])
+    meets = ~disjoint
+    keys = inter[meets]
+    order = np.argsort(keys)  # only the intersecting pairs are sorted
+    keys, values = keys[order], prod[meets][order]
     if not len(keys):  # every pair is disjoint: no group to sum
         raise TotalConflictError(k)
     starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))

@@ -3,14 +3,14 @@
 The pairwise measures all share one precondition: both BPAs must live on the
 same frame.  Everything that only depends on focal elements is evaluated
 sparsely over ``uint64`` mask and ``float64`` mass arrays, built once per
-call.  Cross sums come from :func:`fusion._pair_terms` (k) and
-:func:`fusion._jaccard_weighted` (c12); the symmetric Jaccard self-forms
-(c11, c22 and the d_BBA quadratic form on m1 - m2) from
-:func:`fusion._self_form`, over the upper triangle with each off-diagonal
-term doubled exactly.  Each result is one correctly rounded sum,
-:func:`fusion._fsum`, which returns ``math.fsum``'s float: bit-identical to
-a per-pair loop over the full square, so symmetric, with d(m, m) = 0 and
-r(m, m) = 1 exactly.
+call.  k, the correlation degrees c12, c11 and c22 and the d_BBA quadratic
+form on m1 - m2 come from :class:`_PairForms`, which forms the focal-pair
+blocks of a pair once: the self triangles of the sets focal in one BPA only
+(:func:`fusion._self_terms`) and one cross block of m1's sets against m2's.
+Each result is the correctly rounded sum of an exact multiset of terms,
+:func:`fusion._fsum` of the exact parts of its blocks, which is
+``math.fsum``'s float: bit-identical to a per-pair loop over the full
+square, so symmetric, with d(m, m) = +0.0 and r(m, m) = 1 exactly.
 The cosine measure :func:`song_cor` is defined over the whole power set, but
 its inner products depend on each focal pair only through four set sizes, so
 they are closed-form sums over focal pairs and work at every frame size.  The
@@ -24,7 +24,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,11 +38,12 @@ from .errors import (
 )
 from .fusion import (
     _Focal,
+    _exact_parts,
     _focal_arrays,
     _fsum,
-    _jaccard_weighted,
+    _jaccard,
     _pair_terms,
-    _self_form,
+    _self_terms,
     conflict_k,
 )
 
@@ -72,7 +74,7 @@ CLAMP_TOL = 1e-12
 #: conflict_report computes ``cor`` only up to this frame size, although
 #: song_cor itself works on any frame.  On 30-63 hypotheses with 100-200 focal
 #: sets per BPA, cor costs about one and a half times the rest of the report
-#: plus a combination (6.7 ms against 4.6 ms per pair, best of 9 on a 2-core
+#: plus a combination (6.9 ms against 4.5 ms per pair, best of 9 on a 2-core
 #: x86-64 host), and stays out of the report until a kernel fused with the
 #: focal-pair terms pays for it.
 SONG_COR_MAX_FRAME = 24
@@ -112,11 +114,101 @@ def jaccard(a: SubsetMask, b: SubsetMask) -> float:
 def correlation_degree(m1: MassFunction, m2: MassFunction) -> float:
     """Jaccard-weighted product mass over all focal pairs."""
     require_same_frame(m1, m2)
-    return _degree(_focal_arrays(m1.focal), _focal_arrays(m2.focal))
+    x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
+    inter, prod = _pair_terms(x, y)
+    weighted = _jaccard(x[0], y[0], inter)
+    weighted *= prod
+    return _fsum(weighted)
 
 
-def _degree(x: _Focal, y: _Focal) -> float:
-    return _fsum(_jaccard_weighted(x, y, *_pair_terms(x, y)))
+class _PairForms:
+    """k, the correlation degrees c12, c11 and c22, and the Jousselme
+    quadratic form on d = m1 - m2 of two BPAs, from focal-pair blocks formed
+    once.  Each is the correctly rounded sum of an exact multiset of terms.
+
+    The focal sets split into those focal in m1 only (Xo), in both (S) and
+    in m2 only (Yo).  m1's sets are laid out as [Xo | S] and m2's as
+    [S | Yo].  Three blocks are formed: the self triangles of Xo and of Yo
+    (:func:`fusion._self_terms`), and the cross block of m1's sets against
+    m2's, which holds every other pair, the rows of S against every focal
+    set among them.  No Jaccard ratio is formed twice for the same ordered
+    pair.
+
+    On a pair of one-sided sets the quadratic form's term is the c11 term
+    (Xo x Xo), the c22 term (Yo x Yo) or -2 times the c12 term (Xo x Yo,
+    counted in both orders, with d = -m2 on Yo), because negation and
+    doubling are exact.  So those terms enter the quadratic form through the
+    exact parts of their blocks (:func:`fusion._exact_parts`), and only the
+    pairs with a set of S carry d-weighted products.  The exact sum is that
+    of the form's terms over the support of d, so every result is the float
+    that a per-pair loop with one ``math.fsum`` gives.  The Xo x Yo block
+    holds exact zeros on disjoint pairs, and sets of S with d = 0 give exact
+    zeros too.  Neither changes an exact sum, and a zero total stays +0.0:
+    the diagonal terms d * d are never -0.0, so d(m, m) = +0.0.
+    """
+
+    def __init__(self, f1: Mapping[SubsetMask, float], f2: Mapping[SubsetMask, float]):
+        shared = f1.keys() & f2.keys()
+        one, two = f1.keys() - shared, f2.keys() - shared
+        a, s = len(one), len(shared)
+        n = a + s + len(two)
+        masks = np.fromiter(chain(one, shared, two), np.uint64, n)
+        #: m1 over [Xo | S] and m2 over [S | Yo], for every measure of the pair
+        self.x = masks[: a + s], np.fromiter(map(f1.get, chain(one, shared)), np.float64, a + s)
+        self.y = masks[a:], np.fromiter(map(f2.get, chain(shared, two)), np.float64, n - a)
+        self.a, self.s = a, s
+        (xm, xw), (ym, yw) = self.x, self.y
+        self.jaccard = _jaccard(xm, ym, np.bitwise_and.outer(xm, ym))
+        self.xo = _exact_parts(_self_terms((masks[:a], xw[:a])))
+        self.yo = _exact_parts(_self_terms((masks[a + s :], yw[s:])))
+        xy = np.multiply.outer(xw[:a], yw[s:])
+        xy *= self.jaccard[:a, s:]
+        self.xy = _exact_parts(xy)
+        #: the pairs of the block [Xo | S] x S that stand for their mirror
+        #: images too: Xo x S, and S x S above its diagonal
+        self.upper = np.arange(s) > np.arange(-a, s)[:, None]
+
+    def conflict(self) -> float:
+        """k: the products on disjoint pairs."""
+        prod = np.multiply.outer(self.x[1], self.y[1])
+        return _fsum(prod[self.jaccard == 0.0])
+
+    def degrees(self) -> tuple[float, float, float]:
+        """c12, c11 and c22."""
+        a, s, jaccard = self.a, self.s, self.jaccard
+        (_, xw), (_, yw) = self.x, self.y
+        xs, ys = xw[a:], yw[:s]
+        c12 = (
+            self.xy,
+            (jaccard[:, :s] * np.multiply.outer(xw, ys)).ravel(),
+            (jaccard[a:, s:] * np.multiply.outer(xs, yw[s:])).ravel(),
+        )
+        c11 = (jaccard[:, :s] * np.multiply.outer(xw, xs))[self.upper]
+        c11 *= 2.0
+        # S x S above its diagonal, and S x Yo
+        upper = np.arange(len(yw)) > np.arange(s)[:, None]
+        c22 = (jaccard[a:] * np.multiply.outer(ys, yw))[upper]
+        c22 *= 2.0
+        return (
+            _fsum(np.concatenate(c12)),
+            _fsum(np.concatenate((self.xo, xs * xs, c11))),
+            _fsum(np.concatenate((self.yo, ys * ys, c22))),
+        )
+
+    def quad(self) -> float:
+        """The Jousselme quadratic form on d = m1 - m2."""
+        a, s, jaccard = self.a, self.s, self.jaccard
+        (_, xw), (_, yw) = self.x, self.y
+        d = xw[a:] - yw[:s]  # on S; d = m1 on Xo and -m2 on Yo
+        upper = np.multiply.outer(np.concatenate((xw[:a], d)), d)
+        upper *= jaccard[:, :s]
+        yo = np.multiply.outer(d, -yw[s:])
+        yo *= jaccard[a:, s:]
+        doubled = np.concatenate((upper[self.upper], yo.ravel()))
+        doubled *= 2.0
+        return _fsum(
+            np.concatenate((self.xo, self.yo, -2.0 * self.xy, d * d, doubled))
+        )
 
 
 def correlation_coefficient(m1: MassFunction, m2: MassFunction) -> float:
@@ -126,8 +218,7 @@ def correlation_coefficient(m1: MassFunction, m2: MassFunction) -> float:
     one is disjoint from every focal element of the other.
     """
     require_same_frame(m1, m2)
-    x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
-    return _coefficient(_degree(x, y), _self_form(x), _self_form(y))
+    return _coefficient(*_PairForms(m1.focal, m2.focal).degrees())
 
 
 def _coefficient(c12: float, c11: float, c22: float) -> float:
@@ -146,26 +237,16 @@ def conflict_kr(m1: MassFunction, m2: MassFunction) -> float:
 def jousselme_distance(m1: MassFunction, m2: MassFunction) -> float:
     """Jousselme distance sqrt((x - y)' D (x - y) / 2) with D the Jaccard matrix.
 
-    Evaluated on the nonzero entries of x - y over the union of both focal
-    supports.  Forming x - y first keeps d(m, m) = 0 exactly and small
-    distances free of cancellation error.
+    The quadratic form is the correctly rounded sum of its terms on the
+    support of x - y (see :class:`_PairForms`), never (c11 + c22 - 2 c12)
+    from rounded degrees: d(m, m) = +0.0 exactly and small distances are
+    free of cancellation error.
     """
     require_same_frame(m1, m2)
-    return _distance(_focal_arrays(m1.focal), _focal_arrays(m2.focal))
+    return _jousselme(_PairForms(m1.focal, m2.focal).quad())
 
 
-def _distance(x: _Focal, y: _Focal) -> float:
-    (xm, xw), (ym, yw) = x, y
-    masks = np.concatenate((xm, ym))
-    order = np.argsort(masks)
-    masks = masks[order]
-    signed = np.concatenate((xw, -yw))[order]
-    # Sorted, a set focal in both BPAs is a group of two whose sum x + (-y)
-    # is the IEEE x - y; a set focal in y alone gives -y, that is 0.0 - y.
-    starts = np.concatenate(([0], np.flatnonzero(masks[1:] != masks[:-1]) + 1))
-    diff = np.add.reduceat(signed, starts)
-    nonzero = diff != 0.0
-    quad = _self_form((masks[starts][nonzero], diff[nonzero]))
+def _jousselme(quad: float) -> float:
     if quad < 0.0:
         if quad < -CLAMP_TOL:
             raise InternalConsistencyError(
@@ -486,13 +567,11 @@ def conflict_report(
     it is only included when ``epsilon`` is given.
     """
     n = require_same_frame(m1, m2).size
-    x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
-    d = _distance(x, y)  # first: its arrays are the largest
-    db = _dif_betp(x, y, n)
-    inter, prod = _pair_terms(x, y)
-    k = _fsum(prod[inter == 0])
-    c12 = _fsum(_jaccard_weighted(x, y, inter, prod))
-    r = _coefficient(c12, _self_form(x), _self_form(y))
+    forms = _PairForms(m1.focal, m2.focal)
+    d = _jousselme(forms.quad())
+    db = _dif_betp(forms.x, forms.y, n)
+    k = forms.conflict()
+    r = _coefficient(*forms.degrees())
     # by its module name, so that a tracer wrapping song_cor sees the call
     cor = song_cor(m1, m2) if n <= SONG_COR_MAX_FRAME else None
     liu = None if epsilon is None else _liu(k, db, _check_threshold(epsilon))

@@ -14,27 +14,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import dsconflict as ds
 import oracles
 from dsconflict.fusion import (
     _FSUM_CROSSOVER,
+    _exact_parts,
     _focal_arrays,
     _fsum,
-    _jaccard_weighted,
+    _jaccard,
     _pair_terms,
-    _self_form,
+    _self_terms,
 )
-from dsconflict.measures import _positive_definite
+from dsconflict.measures import _PairForms, _positive_definite
 from generators import LABEL_POOL
-
-settings.register_profile(
-    "suite",
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("suite")
 
 
 def _mass_function(draw, frame: ds.Frame, max_focals: int) -> ds.MassFunction:
@@ -343,9 +337,40 @@ def signed_supports(draw):
     return np.array(masks, np.uint64), np.array(weights, np.float64)
 
 
+def cross_form(x, y) -> float:
+    """The Jaccard form of two weighted supports, summed over every focal pair."""
+    inter, prod = _pair_terms(x, y)
+    weighted = _jaccard(x[0], y[0], inter)
+    weighted *= prod
+    return _fsum(weighted)
+
+
 def full_square(x) -> float:
     """The self-form summed over every ordered focal pair."""
-    return _fsum(_jaccard_weighted(x, x, *_pair_terms(x, x)))
+    return cross_form(x, x)
+
+
+def _self_form(x) -> float:
+    """The self-form from the upper-triangle terms."""
+    return _fsum(_self_terms(x))
+
+
+def merged_support_form(x, y) -> float:
+    """The quadratic form on x - y over the merged support: the masks of both
+    sorted together, each set focal in both a group of two whose sum
+    x + (-y) is the IEEE x - y, zero differences dropped, and the self-form
+    of what is left."""
+    (xm, xw), (ym, yw) = x, y
+    masks = np.concatenate((xm, ym))
+    if not len(masks):
+        return 0.0
+    order = np.argsort(masks)
+    masks = masks[order]
+    signed = np.concatenate((xw, -yw))[order]
+    starts = np.concatenate(([0], np.flatnonzero(masks[1:] != masks[:-1]) + 1))
+    diff = np.add.reduceat(signed, starts)
+    nonzero = diff != 0.0
+    return _self_form((masks[starts][nonzero], diff[nonzero]))
 
 
 def dense_bpa(rng: random.Random, frame: ds.Frame, count: int) -> ds.MassFunction:
@@ -393,10 +418,102 @@ class TestSelfForm:
         frame = ds.make_frame(LABEL_POOL[:63])
         m = dense_bpa(rng, frame, 300 + 40 * seed)
         assert ds.correlation_degree(m, m) == _self_form(_focal_arrays(m.focal))
-        assert ds.jousselme_distance(m, m) == 0.0
+        d = ds.jousselme_distance(m, m)
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0  # +0.0, not -0.0
         assert ds.correlation_coefficient(m, m) == 1.0
         report = ds.conflict_report(m, m)
         assert (report.d_bba, report.r_bpa, report.k_r) == (0.0, 1.0, 0.0)
+        assert math.copysign(1.0, report.d_bba) == 1.0
+
+
+@st.composite
+def shared_support_pairs(draw):
+    """A BPA and a second one that reuses a random share (0-100 %) of its
+    focal sets, with masses equal to the first's, perturbed in their low
+    bits, or scaled down by 2^-530 to 2^-560, so that their products are
+    subnormal or underflow.  The mass left over goes to sets focal in the
+    second BPA alone, or else to the last reused set."""
+    n = draw(st.integers(1, 63) | st.just(63))
+    frame = ds.make_frame(LABEL_POOL[:n])
+    full, top = frame.full_mask, 1 << (n - 1)
+    masks = st.integers(1, full) | st.integers(0, full >> 1).map(lambda m: m | top)
+    first = draw(st.lists(masks, min_size=1, max_size=40, unique=True))
+    weights = draw(st.lists(st.integers(1, 99), min_size=len(first), max_size=len(first)))
+    total = float(sum(weights))
+    f1 = {m: w / total for m, w in zip(first, weights)}
+    kept = draw(st.permutations(first))[: draw(st.integers(0, len(first)))]
+    mode = draw(st.sampled_from(("equal", "perturbed", "subnormal")))
+    if mode == "equal":
+        f2 = {m: f1[m] for m in kept}
+    elif mode == "perturbed":
+        f2 = {
+            m: f1[m] * (1.0 + draw(st.sampled_from((-1.0, 1.0))) * 2.0 ** -draw(st.integers(40, 52)))
+            for m in kept
+        }
+    else:
+        scale = draw(st.integers(530, 560))
+        f2 = {m: math.ldexp(f1[m], -scale) for m in kept}
+    rest = 1.0 - math.fsum(f2.values())
+    others = [m for m in draw(st.lists(masks, max_size=12, unique=True)) if m not in f1]
+    if rest > 1e-9 and others:
+        shares = draw(st.lists(st.integers(1, 99), min_size=len(others), max_size=len(others)))
+        f2.update((m, rest * w / sum(shares)) for m, w in zip(others, shares))
+    elif rest > 1e-9 and kept:
+        f2[kept[-1]] += rest
+    elif rest > 1e-9:
+        f2 = dict(f1)
+    return ds.MassFunction(frame, f1), ds.MassFunction(frame, f2)
+
+
+@st.composite
+def signed_support_pairs(draw):
+    """Two signed supports like :func:`signed_supports`, the second reusing
+    a random share of the first's masks with an equal weight, its negation
+    or its half."""
+    (xm, xw), (ym, yw) = draw(signed_supports()), draw(signed_supports())
+    fx = dict(zip(xm.tolist(), xw.tolist()))
+    fy = dict(zip(ym.tolist(), yw.tolist()))
+    for m in draw(st.permutations(list(fx)))[: draw(st.integers(0, len(fx)))]:
+        fy[m] = draw(st.sampled_from((fx[m], -fx[m], 0.5 * fx[m])))
+    return fx, fy
+
+
+class TestSharedSupport:
+    """Sets focal in both BPAs: every form from the partitioned blocks is
+    bit for bit the plain-Python loops' and the merged-support form's."""
+
+    @given(shared_support_pairs())
+    def test_measures_equal_sparse_reference(self, pair):
+        for m1, m2 in (pair, pair[::-1]):
+            d = oracles.sparse_jousselme_distance(m1, m2).hex()
+            r = oracles.sparse_correlation_coefficient(m1, m2).hex()
+            report = ds.conflict_report(m1, m2)
+            assert (report.d_bba.hex(), report.r_bpa.hex()) == (d, r)
+            assert report.k.hex() == oracles.sparse_conflict_k(m1, m2).hex()
+            assert ds.jousselme_distance(m1, m2).hex() == d
+            assert ds.correlation_coefficient(m1, m2).hex() == r
+
+    @given(signed_support_pairs())
+    def test_forms_equal_merged_support_and_full_squares(self, pair):
+        fx, fy = pair
+        x, y = _focal_arrays(fx), _focal_arrays(fy)
+        forms = _PairForms(fx, fy)
+        assert forms.quad().hex() == merged_support_form(x, y).hex()
+        want = (cross_form(x, y), full_square(x), full_square(y))
+        assert [c.hex() for c in forms.degrees()] == [c.hex() for c in want]
+        inter, prod = _pair_terms(x, y)
+        assert forms.conflict().hex() == _fsum(prod[inter == 0]).hex()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equal_masses_on_every_set_give_positive_zero(self, seed):
+        # the same focal sets and masses in another order: every set is
+        # shared and every difference is +0.0
+        rng = random.Random(f"equal-masses:{seed}")
+        frame = ds.make_frame(LABEL_POOL[: rng.randint(30, 63)])
+        m = dense_bpa(rng, frame, rng.randint(60, 150))
+        twin = ds.MassFunction(frame, dict(reversed(list(m.items()))))
+        for d in (ds.jousselme_distance(m, twin), ds.conflict_report(twin, m).d_bba):
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0
 
 
 #: Tails that put the exact sum of a cancelling array on a rounding tie, or
@@ -450,6 +567,22 @@ def sum_arrays(draw):
     return terms
 
 
+@st.composite
+def product_arrays(draw):
+    """500-10,000 finite floats of either sign and at most 1 in magnitude,
+    down to the subnormals and sprinkled with -0.0, as signed mass products
+    are; sometimes cancelled exactly by their negations plus a tie tail."""
+    size = draw(st.integers(500, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-1080, 0))
+    terms = np.ldexp(rng.choice((-1.0, 1.0), size) * rng.random(size),
+                     rng.integers(low, 0, size, endpoint=True))
+    terms[rng.random(size) < 0.01] = -0.0
+    if draw(st.booleans()):
+        terms = _cancelling(terms[: size // 2], draw(st.sampled_from(SUM_TAILS[:4])), rng)
+    return terms
+
+
 def _sum_outcome(fsum, terms) -> str | type:
     """The sum as ``float.hex``, or the type of the exception raised."""
     try:
@@ -477,6 +610,14 @@ class TestCorrectlyRoundedSum:
         terms = _cancelling(terms, tail, rng)
         assert _fsum(terms).hex() == math.fsum(terms.tolist()).hex()
         assert _fsum(terms) == math.fsum(tail)
+
+    @given(product_arrays(), st.data())
+    def test_parts_of_pieces_round_once(self, terms, data):
+        # the exact parts of pieces of an array, concatenated, round to the
+        # array's own correctly rounded sum
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=4)))
+        parts = np.concatenate([_exact_parts(piece) for piece in np.split(terms, cuts)])
+        assert math.fsum(parts.tolist()).hex() == math.fsum(terms.tolist()).hex()
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_all_zero(self, zero):
