@@ -15,6 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    BadThresholdError,
     DuplicateLabelError,
     EmptyFrameError,
     EmptySetMassError,
@@ -302,7 +303,18 @@ def _trusted_bpa(frame: Frame, focal: dict[SubsetMask, float]) -> MassFunction:
 
 
 def bpa_equal(m1: MassFunction, m2: MassFunction, tol: float = 1e-12) -> bool:
-    """True when both BPAs share a frame and agree mass-wise within ``tol``."""
+    """True when both BPAs share a frame and agree mass-wise within ``tol``.
+
+    ``tol`` must be a finite real number >= 0 and not a ``bool``, or
+    :class:`BadThresholdError` is raised: a NaN tolerance would call any two
+    BPAs equal, and a negative one would tell a BPA apart from itself.
+    """
+    if (
+        not isinstance(tol, numbers.Real)
+        or isinstance(tol, bool)
+        or not 0 <= tol < math.inf
+    ):
+        raise BadThresholdError(f"tolerance must be a finite number >= 0, got {tol!r}")
     if m1.frame != m2.frame:
         return False
     for mask in m1.focal.keys() | m2.focal.keys():

@@ -179,6 +179,10 @@ def load(path: str | os.PathLike[str]) -> BpaDocument:
             text = handle.read()
     except OSError as exc:
         raise DocumentError(str(path), f"cannot read document: {exc}") from exc
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+        raise DocumentError(
+            str(path), f"not UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from exc
     return loads(text)
 
 

@@ -14,8 +14,11 @@ square, so symmetric, with d(m, m) = +0.0 and r(m, m) = 1 exactly.
 The cosine measure :func:`song_cor` is defined over the whole power set, but
 its inner products depend on each focal pair only through four set sizes, so
 they are closed-form sums over focal pairs and work at every frame size.  The
-Gram matrix check never forms a power-set matrix either: it decides the
-frame's symmetry blocks exactly, in integers, and is capped by time only.
+sum over subsets for one signature of set sizes is evaluated once per call,
+over its own row of terms, so it does not depend on the other signatures of
+the call, and nothing is kept between calls.  The Gram matrix check never
+forms a power-set matrix either: it decides the frame's symmetry blocks
+exactly, in integers, and is capped by time only.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -73,10 +76,10 @@ CLAMP_TOL = 1e-12
 
 #: conflict_report computes ``cor`` only up to this frame size, although
 #: song_cor itself works on any frame.  On 30-63 hypotheses with 100-200 focal
-#: sets per BPA, cor costs about one and a half times the rest of the report
-#: plus a combination (6.9 ms against 4.5 ms per pair, best of 9 on a 2-core
-#: x86-64 host), and stays out of the report until a kernel fused with the
-#: focal-pair terms pays for it.
+#: sets per BPA, cor costs about 1.3 times the rest of the report plus a
+#: combination (4.8-5.8 ms against 3.7-4.3 ms per pair; means over 13 pairs
+#: of the best of 9, 2-core x86-64 host), and stays out of the report until
+#: a kernel fused with the focal-pair terms pays for it.
 SONG_COR_MAX_FRAME = 24
 
 #: gram_positive_definite checks frames up to this size.  Its time grows
@@ -366,9 +369,43 @@ def _song_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _song_inners(pairs: Sequence[tuple[_Focal, _Focal]], n: int) -> list[float]:
-    """For each pair (x, y), the sum over focal pairs (A, C) of wx * wy * S,
-    with S = sum over nonempty B of J(A, B) * J(C, B).
+def _song_sums(keys: np.ndarray, n: int) -> np.ndarray:
+    """S for each signature key (p * (n + 1) + j) * (n + 1) + k, j <= k, on
+    an n-hypothesis frame (see :func:`_song_inners`).
+
+    The distinct keys are marked in the key space and taken with
+    ``flatnonzero``.  Each is evaluated once, as one sum over its own row
+    e = 0..r, so S depends on (n, p, j, k) alone, never on the other keys
+    of the call, and then gathered back by key.
+    """
+    size = n + 1
+    mark = np.zeros(size**3, bool)
+    mark[keys] = True
+    sigs = np.flatnonzero(mark)
+    pj, hi = np.divmod(sigs, size)
+    p, lo = np.divmod(pj, size)
+    width = n - p - lo - hi + 1  # e = 0..r
+    starts = np.cumsum(width) - width
+    row = np.repeat(np.arange(len(sigs)), width)
+    e = np.arange(len(row)) - starts[row]
+    binom, t0, t1 = _song_tables(n)
+    p0, p1, p2 = np.ldexp(1.0, p), np.ldexp(p, p - 1), np.ldexp(p * (p + 1), p - 2)
+    ya = (p + hi - 1)[row] + e  # |C | B| less a
+    yc = (p + lo - 1)[row] + e  # |A | B| less c
+    lo, hi = lo[row], hi[row]
+    a0, a1, c0, c1 = t0[lo, ya], t1[lo, ya], t0[hi, yc], t1[hi, yc]
+    blocks = binom[(width - 1)[row], e] * (
+        p2[row] * a0 * c0 + p1[row] * (a1 * c0 + a0 * c1) + p0[row] * a1 * c1
+    )
+    sums = np.empty(size**3)
+    sums[sigs] = np.add.reduceat(blocks, starts)
+    return sums[keys]
+
+
+def _song_inners(x: _Focal, y: _Focal, n: int) -> tuple[float, float, float]:
+    """The inner products of the two expansions, (x, y), (x, x) and (y, y):
+    each the sum over focal pairs (A, C) of wx * wy * S, with
+    S = sum over nonempty B of J(A, B) * J(C, B).
 
     S depends only on the signature p = |A & C|, j = |A - C|, k = |C - A| and
     r = n - |A | C|.  Split B into i, a, c and e elements of A & C, A - C,
@@ -376,32 +413,30 @@ def _song_inners(pairs: Sequence[tuple[_Focal, _Focal]], n: int) -> list[float]:
     (i + a)(i + c) / ((p + j + c + e)(p + k + a + e)).  The i-sum is closed:
     sum_i C(p, i)(i + a)(i + c) = P2 + (a + c) P1 + a c P0 with P0 = 2^p,
     P1 = p 2^(p-1), P2 = p (p + 1) 2^(p-2); for each e the a-sum and the
-    c-sum then factor apart into table lookups, so S costs O(r).  Each
-    distinct signature is evaluated once over all pairs, with j <= k, so
-    swapping the arguments of every pair swaps no bits of the result.
+    c-sum then factor apart into table lookups, so S costs O(r).
+
+    The keys of all three products come from one square over the focal sets
+    of x and y together.  Each distinct signature is evaluated once
+    (:func:`_song_sums`), keyed with j <= k, so swapping x and y swaps no
+    bits of the result, and S is the same float whichever other signatures
+    share the call.  Earlier versions summed S over a zero-padded row as
+    wide as the widest of its call, so a result may differ from theirs by
+    an ulp or two.
     """
-    keys = []
-    for (xm, _), (ym, _) in pairs:
-        p = np.bitwise_count(np.bitwise_and.outer(xm, ym)).astype(np.int64)
-        j = np.bitwise_count(xm).astype(np.int64)[:, None] - p
-        k = np.bitwise_count(ym).astype(np.int64)[None, :] - p
-        keys.append(((p << 12) | (np.minimum(j, k) << 6) | np.maximum(j, k)).ravel())
-    sigs, index = np.unique(np.concatenate(keys), return_inverse=True)
-    p, lo, hi = (sigs >> 12)[:, None], (sigs >> 6 & 63)[:, None], (sigs & 63)[:, None]
-    r = n - p - lo - hi
-    binom, t0, t1 = _song_tables(n)
-    e = np.arange(int(r.max()) + 1)
-    ya = np.minimum(p + hi + e, n) - 1  # |C | B| less a; past e = r the weight is 0
-    yc = np.minimum(p + lo + e, n) - 1  # |A | B| less c
-    a0, a1, c0, c1 = t0[lo, ya], t1[lo, ya], t0[hi, yc], t1[hi, yc]
-    p0, p1, p2 = np.ldexp(1.0, p), np.ldexp(p, p - 1), np.ldexp(p * (p + 1), p - 2)
-    blocks = binom[r, e] * (p2 * a0 * c0 + p1 * (a1 * c0 + a0 * c1) + p0 * a1 * c1)
-    sums = blocks.sum(axis=1)[index.ravel()]
-    bounds = np.cumsum([0] + [len(k) for k in keys]).tolist()
-    return [
-        _fsum(np.multiply.outer(xw, yw).ravel() * sums[start:stop])
-        for ((_, xw), (_, yw)), start, stop in zip(pairs, bounds, bounds[1:])
-    ]
+    size = n + 1
+    count = len(x[0])
+    masks, weights = np.concatenate((x[0], y[0])), np.concatenate((x[1], y[1]))
+    card = np.bitwise_count(masks).astype(np.intp)
+    p = np.bitwise_count(np.bitwise_and.outer(masks, masks)).astype(np.intp)
+    lo = np.minimum.outer(card, card) - p
+    hi = np.maximum.outer(card, card) - p
+    sums = _song_sums(((p * size + lo) * size + hi).ravel(), n).reshape(p.shape)
+    terms = np.multiply.outer(weights, weights) * sums
+    return (
+        _fsum(terms[:count, count:]),
+        _fsum(terms[:count, :count]),
+        _fsum(terms[count:, count:]),
+    )
 
 
 def song_cor(m1: MassFunction, m2: MassFunction) -> float:
@@ -415,7 +450,7 @@ def song_cor(m1: MassFunction, m2: MassFunction) -> float:
     """
     n = require_same_frame(m1, m2).size
     x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
-    s12, s11, s22 = _song_inners(((x, y), (x, x), (y, y)), n)
+    s12, s11, s22 = _song_inners(x, y, n)
     if s11 <= 0.0 or s22 <= 0.0:
         raise InternalConsistencyError(
             f"modified mass vectors must have positive norms, got {s11!r}, {s22!r}"

@@ -16,6 +16,7 @@ from dsconflict import cli, document
 from dsconflict.cli import MAX_PRECISION
 
 DATA = pathlib.Path(__file__).parent / "data"
+EXAMPLE1_BYTES = (DATA / "example1.json").read_bytes()
 
 
 def run_cli(*args, **kwargs):
@@ -87,6 +88,16 @@ class TestMeasure:
         )
         assert result.returncode == 2
 
+    def test_not_utf8_input_exits_2(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        result = run_cli("measure", "--input", str(path), "--pair", "m1", "m2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {path}: not UTF-8 at byte 0: invalid start byte\n"
+        )
+
     def test_out_of_range_epsilon_exits_2(self):
         result = run_cli(
             "measure", "--input", str(DATA / "example1.json"),
@@ -97,6 +108,17 @@ class TestMeasure:
 
 
 class TestCombine:
+    def test_not_utf8_input_exits_2(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(EXAMPLE1_BYTES.replace(b'"m1"', b'"m\xe91"'))
+        result = run_cli("combine", "--input", str(path), "--pair", "m1", "m2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        offset = EXAMPLE1_BYTES.index(b'"m1"') + 2
+        assert result.stderr == (
+            f"error: {path}: not UTF-8 at byte {offset}: invalid continuation byte\n"
+        )
+
     def test_stdout_document(self):
         result = run_cli(
             "combine", "--input", str(DATA / "example1.json"),

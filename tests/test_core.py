@@ -261,3 +261,25 @@ class TestBpaEqual:
         m1 = ds.vacuous_bpa(ds.make_frame(["a", "b"]))
         m2 = ds.vacuous_bpa(ds.make_frame(["a", "c"]))
         assert not ds.bpa_equal(m1, m2)
+
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), -1e-12, -1.0, float("inf"), True, False, "0.1", None],
+        ids=["nan", "negative", "minus-one", "inf", "true", "false", "str", "none"],
+    )
+    def test_bad_tolerance_rejected(self, tol):
+        frame = ds.make_frame(["a", "b"])
+        m1 = ds.make_bpa(frame, [(["a"], 1.0)])
+        m2 = ds.make_bpa(frame, [(["b"], 1.0)])
+        with pytest.raises(ds.BadThresholdError):
+            ds.bpa_equal(m1, m2, tol)
+        with pytest.raises(ds.BadThresholdError):
+            ds.bpa_equal(m1, m1, tol)
+
+    def test_zero_and_integer_tolerances(self):
+        frame = ds.make_frame(["a", "b"])
+        m1 = ds.make_bpa(frame, [(["a"], 1.0)])
+        m2 = ds.make_bpa(frame, [(["b"], 1.0)])
+        assert ds.bpa_equal(m1, m1, 0)
+        assert ds.bpa_equal(m1, m1, -0.0)
+        assert not ds.bpa_equal(m1, m2, 0.0)
+        assert ds.bpa_equal(m1, m2, 1)

@@ -180,6 +180,23 @@ class TestLoads:
         with pytest.raises(ds.DocumentError):
             document.load(tmp_path / "does-not-exist.json")
 
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            (b"\xff\xfe{}", 0),
+            # past the first buffer of a text-mode read
+            (b" " * 100_000 + b'{"frame": ["a\xc3"]}', 100_013),
+        ],
+        ids=["leading", "deep"],
+    )
+    def test_not_utf8_names_the_byte(self, tmp_path, data, offset):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ds.DocumentError) as info:
+            document.load(path)
+        assert info.value.where == str(path)
+        assert f"not UTF-8 at byte {offset}:" in info.value.message
+
 
 class TestDumps:
     def test_round_trip_exact(self):

@@ -13,7 +13,12 @@ import pytest
 import dsconflict as ds
 import oracles
 from dsconflict.fusion import _focal_arrays
-from dsconflict.measures import _gram_blocks, _positive_definite, _song_inners
+from dsconflict.measures import (
+    _gram_blocks,
+    _positive_definite,
+    _song_inners,
+    _song_sums,
+)
 from generators import random_bpa
 
 
@@ -266,10 +271,61 @@ class TestSongClosedForm:
         frame = ds.make_frame(f"h{i}" for i in range(n))
         m1, m2 = random_bpa(rng, frame, 6), random_bpa(rng, frame, 6)
         x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
-        sums = _song_inners(((x, y), (x, x), (y, y), (y, x)), n)
+        sums = (*_song_inners(x, y, n), _song_inners(y, x, n)[0])
         for got, (a, b) in zip(sums, ((m1, m2), (m1, m1), (m2, m2), (m2, m1))):
             want = float(oracles.song_inner_exact(a, b))
             assert abs(got - want) <= 1e-12 * want
+
+
+def song_signatures(n):
+    """Every (p, j, k) with j <= k of two nonempty subsets of an n-frame,
+    and its key (p * (n + 1) + j) * (n + 1) + k."""
+    size = n + 1
+    sigs = [
+        (p, j, k)
+        for p in range(size)
+        for j in range(size - p)
+        for k in range(j, size - p - j)
+        if p + j  # A, and so C, nonempty
+    ]
+    keys = np.array([(p * size + j) * size + k for p, j, k in sigs], np.intp)
+    return sigs, keys
+
+
+class TestSongSums:
+    """S by signature: exact, and the same float whichever other signatures
+    share its call."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_signature_matches_exact_oracle(self, n):
+        sigs, keys = song_signatures(n)
+        got = _song_sums(keys, n)
+        for s, (p, j, k) in zip(got.tolist(), sigs):
+            want = oracles.song_block_sum(p, j, k, n - p - j - k)
+            assert abs(Fraction(s) - want) <= Fraction(1, 10**13) * want
+
+    def test_sample_at_63_matches_exact_oracle(self):
+        sigs, keys = song_signatures(63)
+        chosen = random.Random("song-table:63").sample(range(len(sigs)), 12)
+        got = _song_sums(keys[chosen], 63)
+        for s, i in zip(got.tolist(), chosen):
+            p, j, k = sigs[i]
+            want = oracles.song_block_sum(p, j, k, 63 - p - j - k)
+            assert abs(Fraction(s) - want) <= Fraction(1, 10**13) * want
+
+    @pytest.mark.parametrize("n", [7, 20, 63])
+    def test_alone_equals_in_a_batch(self, n):
+        sigs, keys = song_signatures(n)
+        batch = _song_sums(keys, n)
+        for i in random.Random(f"song-alone:{n}").sample(range(len(sigs)), 40):
+            assert _song_sums(keys[i : i + 1], n)[0] == batch[i], sigs[i]
+
+    def test_repeated_and_reordered_keys(self):
+        sigs, keys = song_signatures(9)
+        first = _song_sums(keys[::3], 9)
+        again = _song_sums(np.concatenate((keys, keys[::-1])), 9)
+        assert np.array_equal(again[: len(keys)][::3], first)
+        assert np.array_equal(again[len(keys) :], again[: len(keys)][::-1])
 
 
 class TestGram:

@@ -27,7 +27,7 @@ from dsconflict.fusion import (
     _pair_terms,
     _self_terms,
 )
-from dsconflict.measures import _PairForms, _positive_definite
+from dsconflict.measures import _PairForms, _positive_definite, _song_sums
 from generators import LABEL_POOL
 
 
@@ -684,6 +684,35 @@ class TestSongCor:
         value = ds.song_cor(m1, m2)
         assert value == ds.song_cor(m2, m1)
         assert 0.0 <= value <= 1.0
+
+
+def song_keys(m1: ds.MassFunction, m2: ds.MassFunction) -> np.ndarray:
+    """The key (p * (n + 1) + j) * (n + 1) + k, j <= k, of the signature of
+    every focal pair of m1 and m2, counted on Python ints."""
+    size = m1.frame.size + 1
+    keys = []
+    for a in m1.focal:
+        for c in m2.focal:
+            p = (a & c).bit_count()
+            j, k = sorted((a.bit_count() - p, c.bit_count() - p))
+            keys.append((p * size + j) * size + k)
+    return np.array(keys, np.intp)
+
+
+class TestSongSums:
+    """S for a signature is the same float whichever other signatures share
+    its call, and cor does not depend on the order of its arguments."""
+
+    @given(wide_pairs(), st.data())
+    def test_same_bits_alone_in_a_batch_and_swapped(self, pair, data):
+        m1, m2 = pair
+        n = m1.frame.size
+        others = data.draw(st.lists(wide_pairs(sizes=st.just(n)), min_size=1, max_size=4))
+        keys = song_keys(m1, m2)
+        batch = np.concatenate([keys] + [song_keys(*other) for other in others])
+        alone = _song_sums(keys, n)
+        assert _song_sums(batch, n)[: len(keys)].tobytes() == alone.tobytes()
+        assert ds.song_cor(m2, m1).hex() == ds.song_cor(m1, m2).hex()
 
 
 class TestDocumentRoundTrip:
