@@ -187,18 +187,16 @@ def load(path: str | os.PathLike[str]) -> BpaDocument:
 
 
 def dumps(document: BpaDocument) -> str:
-    """Serialize a document to compact JSON text (full float precision)."""
+    """Serialize a document to compact JSON text (full float precision),
+    each BPA's focal sets in ascending mask order."""
     payload = {
         "frame": list(document.frame.labels),
         "bpas": [
             {
                 "name": name,
                 "masses": [
-                    {
-                        "set": list(document.frame.members(mask)),
-                        "mass": value,
-                    }
-                    for mask, value in sorted(bpa.items())
+                    {"set": list(document.frame.members(mask)), "mass": value}
+                    for mask, value in zip(*(a.tolist() for a in bpa.arrays))
                 ],
             }
             for name, bpa in document.bpas.items()

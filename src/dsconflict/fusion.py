@@ -1,22 +1,26 @@
 """Dempster's rule of combination, the classical conflict coefficient, and
 the focal-pair kernels that every pairwise measure is built on: the cross
 terms of two BPAs, their Jaccard ratios and the symmetric Jaccard self-form
-terms of one.  Every sum of their terms is correctly rounded: the exact
-parts of one or more arrays (:func:`_exact_parts`, vectorised error-free
-extraction on long arrays) rounded once by ``math.fsum`` (:func:`_fsum`)."""
+terms of one.  The kernels read a BPA's focal arrays
+(:attr:`~dsconflict.core.MassFunction.arrays`) directly.  Every sum of
+their terms is correctly rounded: the exact parts of one or more arrays
+(:func:`_exact_parts`, vectorised error-free extraction on long arrays)
+rounded once by ``math.fsum`` (:func:`_fsum`).  Dempster's rule sums its
+intersection groups all at once (:func:`_segment_sums`): the same
+extraction with one sigma per group, three exact levels, and one correct
+rounding of each group's three level sums, with no Python loop over the
+groups; the combined BPA takes the sorted keys and masses as its arrays."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .core import (
     MASS_SUM_ACCEPT_TOL,
     MassFunction,
-    SubsetMask,
     _trusted_bpa,
     require_same_frame,
 )
@@ -43,15 +47,6 @@ class CombinationResult:
 
     combined: MassFunction
     k: float
-
-
-def _focal_arrays(focal: Mapping[SubsetMask, float]) -> _Focal:
-    """``mask -> weight`` entries as a uint64 mask array and a float64 array."""
-    n = len(focal)
-    return (
-        np.fromiter(focal.keys(), np.uint64, n),
-        np.fromiter(focal.values(), np.float64, n),
-    )
 
 
 def _pair_terms(x: _Focal, y: _Focal) -> tuple[np.ndarray, np.ndarray]:
@@ -152,18 +147,99 @@ def _fsum(terms: np.ndarray) -> float:
     return math.fsum(memoryview(_exact_parts(terms)))
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: s = a + b rounded and its exact error, a + b - s."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _sum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The correctly rounded sums a + b + c, elementwise, by Boldo and
+    Melquiond's algorithm ("Emulation of FMA and correctly rounded sums:
+    proved algorithms using rounding to odd", IEEE Trans. Computers 57(4),
+    2008): two TwoSums leave th + tl + ul, exactly; tl + ul is rounded to
+    odd, which keeps a sticky bit for the final round to nearest.  Rounding
+    to odd is round to nearest moved one step towards the exact sum when
+    that is inexact and lands on an even significand: the neighbouring
+    float towards it is odd."""
+    uh, ul = _two_sum(b, c)
+    th, tl = _two_sum(a, uh)
+    v, err = _two_sum(tl, ul)
+    bump = (err != 0.0) & (v.view(np.uint64) & 1 == 0)  # inexact and even
+    v[bump] = np.nextafter(v[bump], np.copysign(np.inf, err[bump]))
+    return th + v
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each group's correctly rounded sum, the float ``math.fsum`` gives,
+    bit for bit, for nonnegative finite ``values`` (no -0.0) whose group
+    sums are finite.  Group g is ``values[starts[g]:starts[g + 1]]``;
+    ``starts`` rises strictly from 0.  ``values`` is only read.
+
+    A sum of one or two terms is one IEEE addition at most, so it is
+    already correctly rounded: ``np.add.reduceat`` gives it, and when no
+    group has three or more terms that is all.  Longer groups are split
+    exactly into three levels by error-free extraction, as in
+    :func:`_exact_parts`, but with one sigma per group: with n terms of
+    largest value M, sigma_1 = 2^(E + m), 2^E > M and 2^m >= n + 2, and
+    sigma_(l+1) = 2^(m - 53) sigma_l, which bounds (n + 2) times the
+    remainders of level l, as those are at most 2^-53 sigma_l.  Each
+    level's sum by ``np.add.reduceat`` is exact.  When the third level's
+    remainders are all zero, the group's exact sum is that of its three
+    level sums, which :func:`_sum3` rounds once.  A group that needs more
+    levels, whose sigma_1 overflows or whose sigma_3 is subnormal, or that
+    has 2^26 terms or more, goes to ``math.fsum``; mass products rarely
+    need to.
+    """
+    sums = np.add.reduceat(values, starts)
+    sizes = np.concatenate((starts[1:], [len(values)])) - starts
+    if sizes.max() < 3:
+        return sums
+    long = sizes > 2
+    terms = values[np.repeat(long, sizes)]
+    sizes = sizes[long]
+    heads = np.cumsum(sizes) - sizes
+    m = np.frexp(sizes + 1.0)[1]  # 2^m > n + 1
+    exponent = np.frexp(np.maximum.reduceat(terms, heads))[1] + m
+    step = m - 53
+    fallback = (exponent > 1023) | (exponent + 2 * step < -1022) | (sizes >= 2**26)
+    exponent[fallback] = 0  # their levels are not used
+    levels = []
+    rest = terms
+    for _ in range(3):
+        sigma = np.repeat(np.ldexp(1.0, exponent), sizes)
+        q = rest + sigma
+        q -= sigma
+        levels.append(np.add.reduceat(q, heads))
+        rest = rest - q
+        exponent += step
+    fallback |= np.logical_or.reduceat(rest != 0.0, heads)
+    long_sums = _sum3(*levels)
+    if fallback.any():
+        view = memoryview(terms)
+        long_sums[fallback] = [
+            math.fsum(view[head : head + size])
+            for head, size in zip(heads[fallback].tolist(), sizes[fallback].tolist())
+        ]
+    sums[long] = long_sums
+    return sums
+
+
 def conflict_k(m1: MassFunction, m2: MassFunction) -> float:
     """Classical conflict: total product mass on disjoint focal pairs."""
     require_same_frame(m1, m2)
-    inter, prod = _pair_terms(_focal_arrays(m1.focal), _focal_arrays(m2.focal))
+    inter, prod = _pair_terms(m1.arrays, m2.arrays)
     return _fsum(prod[inter == 0])
 
 
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     """Combine two BPAs with Dempster's rule.
 
-    The products m1(A) * m2(B) are grouped by intersection, each group is
-    summed exactly and the groups on nonempty sets are divided by 1 - k.
+    The products m1(A) * m2(B) are grouped by intersection, each group's
+    sum is correctly rounded (:func:`_segment_sums`) and the groups on
+    nonempty sets are divided by 1 - k; the result's focal masks are the
+    ascending group keys.
     When the inputs sum to 1 only within :data:`MASS_SUM_ACCEPT_TOL` and
     high conflict would carry that result off 1, they are divided instead by
     their own correctly rounded total, the non-conflicting mass actually
@@ -172,27 +248,19 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     that total is at most :data:`TOTAL_CONFLICT_TOL`.
     """
     frame = require_same_frame(m1, m2)
-    inter, prod = _pair_terms(_focal_arrays(m1.focal), _focal_arrays(m2.focal))
+    inter, prod = (block.ravel() for block in _pair_terms(m1.arrays, m2.arrays))
+    # index arrays rather than boolean masks: numpy gathers by them faster
     disjoint = inter == 0
-    k = _fsum(prod[disjoint])
-    meets = ~disjoint
-    keys = inter[meets]
-    order = np.argsort(keys)  # only the intersecting pairs are sorted
-    keys, values = keys[order], prod[meets][order]
+    k = _fsum(prod[np.flatnonzero(disjoint)])
+    meets = np.flatnonzero(~disjoint)
+    order = meets[np.argsort(inter[meets])]  # only the intersecting pairs
+    keys, values = inter[order], prod[order]
     if not len(keys):  # every pair is disjoint: no group to sum
         raise TotalConflictError(k)
     starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
-    # A sum of one or two IEEE products is already correctly rounded, so it
-    # equals their fsum; only longer groups need fsum.  Either way the sums
-    # are independent of focal order, so the rule commutes exactly.
-    sums = np.add.reduceat(values, starts)
-    ends = np.append(starts[1:], len(values))
-    long = np.flatnonzero(ends - starts > 2)
-    view = memoryview(values)
-    sums[long] = [
-        math.fsum(view[start:end])
-        for start, end in zip(starts[long].tolist(), ends[long].tolist())
-    ]
+    # correctly rounded, so independent of focal order: the rule commutes
+    # exactly
+    sums = _segment_sums(values, starts)
     total = _fsum(sums)
     if total <= TOTAL_CONFLICT_TOL:
         raise TotalConflictError(k)
@@ -209,5 +277,4 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     check = _fsum(masses)
     if abs(check - 1.0) > MASS_SUM_ACCEPT_TOL:
         raise InternalConsistencyError(f"combined masses sum to {check!r}, expected 1")
-    combined = dict(zip(keys[starts[focal]].tolist(), masses.tolist()))
-    return CombinationResult(_trusted_bpa(frame, combined), k)
+    return CombinationResult(_trusted_bpa(frame, keys[starts[focal]], masses), k)

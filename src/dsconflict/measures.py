@@ -27,8 +27,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Mapping
 
 import numpy as np
 
@@ -42,7 +40,6 @@ from .errors import (
 from .fusion import (
     _Focal,
     _exact_parts,
-    _focal_arrays,
     _fsum,
     _jaccard,
     _pair_terms,
@@ -76,10 +73,11 @@ CLAMP_TOL = 1e-12
 
 #: conflict_report computes ``cor`` only up to this frame size, although
 #: song_cor itself works on any frame.  On 30-63 hypotheses with 100-200 focal
-#: sets per BPA, cor costs about 1.3 times the rest of the report plus a
-#: combination (4.8-5.8 ms against 3.7-4.3 ms per pair; means over 13 pairs
-#: of the best of 9, 2-core x86-64 host), and stays out of the report until
-#: a kernel fused with the focal-pair terms pays for it.
+#: sets per BPA, cor costs about 1.1 times the rest of the report plus a
+#: combination (2.8-3.2 ms against 2.6-2.9 ms per pair; means over 13 pairs
+#: of the best of 9, the two timed in turn, 2-core x86-64 host), so it would
+#: double the cost of a report, and stays out of the report until a kernel
+#: fused with the focal-pair terms pays for it.
 SONG_COR_MAX_FRAME = 24
 
 #: gram_positive_definite checks frames up to this size.  Its time grows
@@ -117,7 +115,7 @@ def jaccard(a: SubsetMask, b: SubsetMask) -> float:
 def correlation_degree(m1: MassFunction, m2: MassFunction) -> float:
     """Jaccard-weighted product mass over all focal pairs."""
     require_same_frame(m1, m2)
-    x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
+    x, y = m1.arrays, m2.arrays
     inter, prod = _pair_terms(x, y)
     weighted = _jaccard(x[0], y[0], inter)
     weighted *= prod
@@ -129,8 +127,10 @@ class _PairForms:
     quadratic form on d = m1 - m2 of two BPAs, from focal-pair blocks formed
     once.  Each is the correctly rounded sum of an exact multiset of terms.
 
-    The focal sets split into those focal in m1 only (Xo), in both (S) and
-    in m2 only (Yo).  m1's sets are laid out as [Xo | S] and m2's as
+    ``x`` and ``y`` are focal arrays with ascending masks, as
+    :attr:`MassFunction.arrays` holds them.  The focal sets split into those
+    focal in m1 only (Xo), in both (S) and in m2 only (Yo), by a merge of
+    the two mask arrays.  m1's sets are laid out as [Xo | S] and m2's as
     [S | Yo].  Three blocks are formed: the self triangles of Xo and of Yo
     (:func:`fusion._self_terms`), and the cross block of m1's sets against
     m2's, which holds every other pair, the rows of S against every focal
@@ -150,15 +150,22 @@ class _PairForms:
     the diagonal terms d * d are never -0.0, so d(m, m) = +0.0.
     """
 
-    def __init__(self, f1: Mapping[SubsetMask, float], f2: Mapping[SubsetMask, float]):
-        shared = f1.keys() & f2.keys()
-        one, two = f1.keys() - shared, f2.keys() - shared
-        a, s = len(one), len(shared)
-        n = a + s + len(two)
-        masks = np.fromiter(chain(one, shared, two), np.uint64, n)
+    def __init__(self, x: _Focal, y: _Focal):
+        (xm, xw), (ym, yw) = x, y
+        # a merge of the two ascending mask arrays: where each of m1's sets
+        # would go among m2's, and whether it is there
+        at = np.searchsorted(ym, xm)
+        inside = at < len(ym)
+        shared = np.zeros(len(xm), bool)
+        shared[inside] = ym[at[inside]] == xm[inside]
+        in_y = np.zeros(len(ym), bool)
+        in_y[at[shared]] = True
+        s = int(np.count_nonzero(shared))
+        a = len(xm) - s
+        masks = np.concatenate((xm[~shared], xm[shared], ym[~in_y]))
         #: m1 over [Xo | S] and m2 over [S | Yo], for every measure of the pair
-        self.x = masks[: a + s], np.fromiter(map(f1.get, chain(one, shared)), np.float64, a + s)
-        self.y = masks[a:], np.fromiter(map(f2.get, chain(shared, two)), np.float64, n - a)
+        self.x = masks[: a + s], np.concatenate((xw[~shared], xw[shared]))
+        self.y = masks[a:], np.concatenate((yw[in_y], yw[~in_y]))
         self.a, self.s = a, s
         (xm, xw), (ym, yw) = self.x, self.y
         self.jaccard = _jaccard(xm, ym, np.bitwise_and.outer(xm, ym))
@@ -221,7 +228,7 @@ def correlation_coefficient(m1: MassFunction, m2: MassFunction) -> float:
     one is disjoint from every focal element of the other.
     """
     require_same_frame(m1, m2)
-    return _coefficient(*_PairForms(m1.focal, m2.focal).degrees())
+    return _coefficient(*_PairForms(m1.arrays, m2.arrays).degrees())
 
 
 def _coefficient(c12: float, c11: float, c22: float) -> float:
@@ -246,7 +253,7 @@ def jousselme_distance(m1: MassFunction, m2: MassFunction) -> float:
     free of cancellation error.
     """
     require_same_frame(m1, m2)
-    return _jousselme(_PairForms(m1.focal, m2.focal).quad())
+    return _jousselme(_PairForms(m1.arrays, m2.arrays).quad())
 
 
 def _jousselme(quad: float) -> float:
@@ -279,7 +286,7 @@ def pignistic(m: MassFunction) -> PignisticDistribution:
     Each label's probability is one ``fsum`` of the shares m(A) / |A| of the
     focal sets A that contain it, gathered label by label into one array.
     """
-    return PignisticDistribution(m.frame, _betp(_focal_arrays(m.focal), m.frame.size))
+    return PignisticDistribution(m.frame, _betp(m.arrays, m.frame.size))
 
 
 def _betp(x: _Focal, n: int) -> tuple[float, ...]:
@@ -298,7 +305,7 @@ def dif_betp(m1: MassFunction, m2: MassFunction) -> float:
     subset collects exactly the singletons where BetP1 exceeds BetP2).
     """
     n = require_same_frame(m1, m2).size
-    return _dif_betp(_focal_arrays(m1.focal), _focal_arrays(m2.focal), n)
+    return _dif_betp(m1.arrays, m2.arrays, n)
 
 
 def _dif_betp(x: _Focal, y: _Focal, n: int) -> float:
@@ -449,7 +456,7 @@ def song_cor(m1: MassFunction, m2: MassFunction) -> float:
     polynomial in the frame size and any frame up to 63 hypotheses works.
     """
     n = require_same_frame(m1, m2).size
-    x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
+    x, y = m1.arrays, m2.arrays
     s12, s11, s22 = _song_inners(x, y, n)
     if s11 <= 0.0 or s22 <= 0.0:
         raise InternalConsistencyError(
@@ -602,7 +609,7 @@ def conflict_report(
     it is only included when ``epsilon`` is given.
     """
     n = require_same_frame(m1, m2).size
-    forms = _PairForms(m1.focal, m2.focal)
+    forms = _PairForms(m1.arrays, m2.arrays)
     d = _jousselme(forms.quad())
     db = _dif_betp(forms.x, forms.y, n)
     k = forms.conflict()

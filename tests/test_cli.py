@@ -163,6 +163,23 @@ class TestCombine:
         assert len(calls) == 1
         assert json.loads(target.read_text()) == json.loads(real(calls[0]))
 
+    @pytest.mark.parametrize(
+        "case", sorted(json.loads((DATA / "combined_examples.json").read_text()))
+    )
+    def test_output_bytes_unchanged(self, case, tmp_path, capsys):
+        # the bytes written for every pair of the three examples that
+        # combines, recorded in tests/data/combined_examples.json before
+        # BPAs held their focal elements as arrays
+        name, first, second = case.split()
+        want = json.loads((DATA / "combined_examples.json").read_text())[case]
+        target = tmp_path / "combined.json"
+        code = cli.run([
+            "combine", "--input", str(DATA / name),
+            "--pair", first, second, "--output", str(target),
+        ])
+        assert code == 0
+        assert target.read_bytes() == want.encode("utf-8")
+
     def test_inputs_summing_to_one_within_tolerance(self, tmp_path):
         # a valid pair under high conflict; dividing by 1 - k failed to sum to 1
         path = tmp_path / "near.json"

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import dsconflict as ds
@@ -219,6 +220,19 @@ class TestMassFunction:
         frame = ds.make_frame(["a", "b"])
         with pytest.raises(ds.UnnormalizedMassError):
             ds.MassFunction(frame, {0b01: 1e308, 0b10: 1e308})
+
+    def test_focal_elements_in_ascending_mask_order(self):
+        frame = ds.make_frame(["a", "b", "c"])
+        m = ds.MassFunction(frame, {0b100: 0.5, 0b001: 0.25, 0b011: 0.25})
+        assert list(m) == list(m.focal) == [0b001, 0b011, 0b100]
+        assert list(m.items()) == [(0b001, 0.25), (0b011, 0.25), (0b100, 0.5)]
+        masks, masses = m.arrays
+        assert masks.dtype == np.uint64 and masses.dtype == np.float64
+        assert masks.tolist() == [0b001, 0b011, 0b100]
+        assert masses.tolist() == [0.25, 0.25, 0.5]
+        with pytest.raises(ValueError):
+            masses[0] = 1.0  # read-only
+        assert repr(m) == "MassFunction({a}: 0.25, {a, b}: 0.25, {c}: 0.5)"
 
     def test_focal_view_is_readonly(self):
         frame = ds.make_frame(["a", "b"])

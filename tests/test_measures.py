@@ -12,7 +12,6 @@ import pytest
 
 import dsconflict as ds
 import oracles
-from dsconflict.fusion import _focal_arrays
 from dsconflict.measures import (
     _gram_blocks,
     _positive_definite,
@@ -270,7 +269,7 @@ class TestSongClosedForm:
         rng = random.Random(f"song:{n}")
         frame = ds.make_frame(f"h{i}" for i in range(n))
         m1, m2 = random_bpa(rng, frame, 6), random_bpa(rng, frame, 6)
-        x, y = _focal_arrays(m1.focal), _focal_arrays(m2.focal)
+        x, y = m1.arrays, m2.arrays
         sums = (*_song_inners(x, y, n), _song_inners(y, x, n)[0])
         for got, (a, b) in zip(sums, ((m1, m2), (m1, m1), (m2, m2), (m2, m1))):
             want = float(oracles.song_inner_exact(a, b))

@@ -11,6 +11,7 @@ import json
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ import oracles
 from dsconflict.fusion import (
     _FSUM_CROSSOVER,
     _exact_parts,
-    _focal_arrays,
     _fsum,
     _jaccard,
     _pair_terms,
+    _segment_sums,
     _self_terms,
+    _sum3,
 )
 from dsconflict.measures import _PairForms, _positive_definite, _song_sums
 from generators import LABEL_POOL
@@ -337,6 +339,13 @@ def signed_supports(draw):
     return np.array(masks, np.uint64), np.array(weights, np.float64)
 
 
+def sorted_arrays(weights: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """``mask -> weight`` entries as a BPA holds its focal elements:
+    ascending uint64 masks and their float64 weights."""
+    masks = sorted(weights)
+    return np.array(masks, np.uint64), np.array([weights[m] for m in masks], np.float64)
+
+
 def cross_form(x, y) -> float:
     """The Jaccard form of two weighted supports, summed over every focal pair."""
     inter, prod = _pair_terms(x, y)
@@ -393,10 +402,10 @@ class TestSelfForm:
         m1, m2 = pair
         f1, f2 = m1.focal, m2.focal
         diff = {a: f1.get(a, 0.0) - f2.get(a, 0.0) for a in f1.keys() | f2.keys()}
-        u = _focal_arrays({a: d for a, d in diff.items() if d != 0.0})
+        u = sorted_arrays({a: d for a, d in diff.items() if d != 0.0})
         assert _self_form(u) == full_square(u)
         for m in pair:
-            x = _focal_arrays(m.focal)
+            x = m.arrays
             assert _self_form(x) == full_square(x)
 
     @given(signed_supports())
@@ -417,7 +426,7 @@ class TestSelfForm:
         rng = random.Random(seed)
         frame = ds.make_frame(LABEL_POOL[:63])
         m = dense_bpa(rng, frame, 300 + 40 * seed)
-        assert ds.correlation_degree(m, m) == _self_form(_focal_arrays(m.focal))
+        assert ds.correlation_degree(m, m) == _self_form(m.arrays)
         d = ds.jousselme_distance(m, m)
         assert d == 0.0 and math.copysign(1.0, d) == 1.0  # +0.0, not -0.0
         assert ds.correlation_coefficient(m, m) == 1.0
@@ -496,8 +505,8 @@ class TestSharedSupport:
     @given(signed_support_pairs())
     def test_forms_equal_merged_support_and_full_squares(self, pair):
         fx, fy = pair
-        x, y = _focal_arrays(fx), _focal_arrays(fy)
-        forms = _PairForms(fx, fy)
+        x, y = sorted_arrays(fx), sorted_arrays(fy)
+        forms = _PairForms(x, y)
         assert forms.quad().hex() == merged_support_form(x, y).hex()
         want = (cross_form(x, y), full_square(x), full_square(y))
         assert [c.hex() for c in forms.degrees()] == [c.hex() for c in want]
@@ -623,6 +632,130 @@ class TestCorrectlyRoundedSum:
     def test_all_zero(self, zero):
         terms = np.full(5000, zero)
         assert _fsum(terms).hex() == math.fsum(terms.tolist()).hex()
+
+
+def _group(kind: str, size: int, rng) -> np.ndarray:
+    """``size`` nonnegative finite terms of one group, shuffled.
+
+    "masses": values as mass products are, down to about 2^-60; "wide":
+    exponents over a random stretch of the range, down to 2^-1074, so that
+    some groups need more than three levels; "subnormal": every term below
+    2^-1022; "huge": terms so large that sigma may overflow; "tie": a sum
+    on a rounding tie of its largest term or just above one.  Every kind
+    but "tie" is sometimes half repeats of its other half, and sprinkled
+    with zeros or all zero.
+    """
+    if kind == "huge":  # as large as a finite group sum allows
+        top = 1022 - size.bit_length()
+        terms = np.ldexp(rng.random(size), rng.integers(top - 4, top, size, endpoint=True))
+    elif kind == "subnormal":
+        terms = np.ldexp(rng.random(size), rng.integers(-1074, -1022, size, endpoint=True))
+        terms[: rng.integers(0, 2, endpoint=True)] = 2.0**-1074
+    elif kind == "tie":
+        # half an ulp of the head, zeros and up to three short terms far
+        # enough below the head that a plain sum loses them: the exact sum
+        # is on the tie or just above it
+        top = int(rng.integers(-60, 0, endpoint=True))
+        head = [math.ldexp(1.0 + float(rng.integers(0, 2)) * 2.0**-52, top),
+                math.ldexp(1.0, top - 53)]
+        depth = int(rng.integers(54, 170) if rng.random() < 0.8 else rng.integers(54, 1000 + top))
+        tail = np.zeros(max(size - 2, 0))
+        tail[:3] = np.ldexp(rng.integers(1, 8, len(tail[:3])), top - depth)
+        terms = np.concatenate((head, tail))[:size]
+    else:
+        low = int(rng.integers(-1074, -60)) if kind == "wide" else -60
+        terms = np.ldexp(rng.random(size), rng.integers(low, 0, size, endpoint=True))
+    if kind != "tie":
+        if rng.random() < 0.2:
+            terms[size // 2 :] = terms[: size - size // 2]
+        terms[rng.random(size) < rng.choice((0.0, 0.1, 1.0), p=(0.6, 0.3, 0.1))] = 0.0
+    rng.shuffle(terms)
+    return terms
+
+
+@st.composite
+def segmented_arrays(draw):
+    """Groups of 1-10,000 nonnegative finite terms, laid end to end, and
+    the start of each group."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(
+        st.integers(1, 4) | st.integers(1, 300) | st.integers(3, 10_000),
+        min_size=1,
+        max_size=8,
+    ))
+    kinds = st.sampled_from(("masses", "masses", "wide", "subnormal", "huge", "tie"))
+    groups = [_group(draw(kinds), size, rng) for size in sizes]
+    starts = np.cumsum([0] + sizes[:-1])
+    return np.concatenate(groups), starts
+
+
+class TestSegmentSums:
+    """``_segment_sums`` returns each group's ``math.fsum`` float, bit for
+    bit, and ``_sum3`` the correctly rounded sum of three floats."""
+
+    @given(segmented_arrays())
+    def test_each_group_equals_math_fsum(self, arrays):
+        values, starts = arrays
+        before = values.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _segment_sums(values, starts)
+        ends = [*starts[1:].tolist(), len(values)]
+        want = [math.fsum(values[a:b].tolist()) for a, b in zip(starts.tolist(), ends)]
+        assert [g.hex() for g in got.tolist()] == [w.hex() for w in want]
+        assert values.tobytes() == before
+
+    @pytest.mark.parametrize("kind", ["wide", "subnormal", "huge"])
+    def test_fallback_groups(self, kind, monkeypatch):
+        # groups that need more than three levels, whose sigma is
+        # subnormal or whose sigma overflows go to math.fsum; the group of
+        # three mass products does not
+        rng = np.random.default_rng(7)
+        groups = [_group(kind, 5000, rng), _group("masses", 3, rng)]
+        if kind == "wide":  # four levels: spread over 900 binades
+            groups[0][:4] = [1.0, 2.0**-300, 2.0**-600, 2.0**-900]
+        if kind == "huge":  # sigma_1 = 2^(1011 + 13)
+            groups[0][0] = 2.0**1010
+        values = np.concatenate(groups)
+        starts = np.array([0, 5000])
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+        got = _segment_sums(values, starts)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert [g.hex() for g in got.tolist()] == [
+            math.fsum(group.tolist()).hex() for group in groups
+        ]
+
+    def test_groups_of_one_or_two_are_plain_sums(self):
+        values = np.array([0.1, 0.2, 0.3, 2.0**-1074, 1.0, 2.0**-53])
+        starts = np.array([0, 1, 3, 4])
+        got = _segment_sums(values, starts)
+        assert got.tobytes() == np.add.reduceat(values, starts).tobytes()
+        assert got[1] == 0.2 + 0.3
+
+    @given(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, max_value=2.0**1020,
+                  min_value=-(2.0**1020)),
+        min_size=3,
+        max_size=3,
+    ))
+    def test_sum3_rounds_once(self, terms):
+        a, b, c = (np.array([t]) for t in terms)
+        exact = Fraction(terms[0]) + Fraction(terms[1]) + Fraction(terms[2])
+        assert _sum3(a, b, c)[0] == float(exact)
+
+    @pytest.mark.parametrize("terms", [
+        (1.0, 2.0**-53, 2.0**-110),  # just above a tie: rounds up
+        (1.0, 2.0**-53, -(2.0**-110)),  # just below: rounds down
+        (1.0 + 2.0**-52, 2.0**-53, 0.0),  # on a tie: to even, up
+        (2.0**-1022, 2.0**-1074, 2.0**-1074),
+    ])
+    def test_sum3_ties(self, terms):
+        a, b, c = (np.array([t]) for t in terms)
+        want = float(sum(map(Fraction, terms)))
+        assert _sum3(a, b, c)[0].hex() == want.hex()
+        assert _sum3(c, b, a)[0].hex() == want.hex()
 
 
 class TestPignistic:
