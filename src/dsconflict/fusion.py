@@ -3,13 +3,16 @@ the focal-pair kernels that every pairwise measure is built on: the cross
 terms of two BPAs, their Jaccard ratios and the symmetric Jaccard self-form
 terms of one.  The kernels read a BPA's focal arrays
 (:attr:`~dsconflict.core.MassFunction.arrays`) directly.  Every sum of
-their terms is correctly rounded: the exact parts of one or more arrays
-(:func:`_exact_parts`, vectorised error-free extraction on long arrays)
-rounded once by ``math.fsum`` (:func:`_fsum`).  Dempster's rule sums its
-intersection groups all at once (:func:`_segment_sums`): the same
-extraction with one sigma per group, three exact levels, and one correct
-rounding of each group's three level sums, with no Python loop over the
-groups; the combined BPA takes the sorted keys and masses as its arrays."""
+their terms is correctly rounded, from one error-free extraction
+(:func:`_level_sums`): exact level sums of the terms with one sigma per
+call, by group in any grouping.  A whole array's level sums are its exact
+parts (:func:`_exact_parts`), rounded once by ``math.fsum``
+(:func:`_fsum`).  Dempster's rule sums all its intersection groups at once
+(:func:`_segment_sums`): level sums by ``np.add.reduceat`` and one correct
+rounding of each group's level sums (:func:`_round_levels`), with no Python
+loop over the groups; the combined BPA takes the sorted keys and masses as
+its arrays.  The pignistic sums of :mod:`dsconflict.measures` take their
+level sums from a 0/1 matrix product."""
 
 from __future__ import annotations
 
@@ -90,6 +93,63 @@ def _self_terms(x: _Focal) -> np.ndarray:
     return np.concatenate((w * w, weighted))
 
 
+def _level_sums(terms: np.ndarray, largest: int, reduce) -> np.ndarray | None:
+    """The exact level sums of ``terms`` by group, stacked level by level:
+    ``reduce(q)`` of each level q of an error-free extraction, or None where
+    the extraction does not apply.  ``reduce`` sums the terms of each group
+    of ``q``, at most ``largest`` of them, in any order and grouping: a
+    segmented ``np.add.reduceat``, a 0/1 matrix product, or ``np.sum`` for
+    one group.  ``terms`` is nonempty, may have any shape and is only read.
+
+    The levels are those of S. M. Rump, T. Ogita and S. Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci.
+    Comput. 31(1), 2008, with one sigma for the whole call.  With terms p of
+    largest magnitude M, take sigma, a power of two with
+    sigma >= (n + 2) M for n = ``largest``.  Then q = (sigma + p) - sigma
+    and p - q are exact: sigma + p lies in [sigma / 2, 2 sigma], so the
+    subtraction is exact (Sterbenz), and p - q is the rounding error of
+    sigma + p.  Every q is a multiple of u sigma (u = 2^-53) with
+    |q| <= |p| + u sigma, and while n (n + 2) <= 2^54 any n of them sum to
+    at most sigma in magnitude, as does every partial sum: multiples of
+    u sigma that small are floats, so every group's sum of q is exact,
+    whatever the order of its additions.  The remainders p - q are at most
+    u sigma, so each level shrinks sigma by 2^26 or more.  Every float is a
+    multiple of 2^-1074, and once sigma is subnormal or near it sigma + p
+    is exact, q = p and the remainders are all zero: the loop ends there,
+    after fewer than 80 levels on any terms, and mostly after two on mass
+    products.
+    No q is -0.0, since (sigma + p) - sigma is not.  Terms that are all
+    zero, non-finite or near overflow, and groups of 2^26 terms or more,
+    are left to ``math.fsum`` (None).
+    """
+    top = max(terms.max(), -terms.min())
+    if not 0.0 < top <= 2.0**960 or largest >= 2**26:  # true for NaN and inf
+        return None
+    sums = []
+    rest = terms
+    while top:
+        sigma = math.ldexp(1.0, math.frexp((largest + 2) * top)[1])
+        q = rest + sigma
+        q -= sigma
+        sums.append(reduce(q))
+        rest = np.subtract(rest, q, out=q)  # never into the caller's array
+        top = max(rest.max(), -rest.min())
+    return np.array(sums)
+
+
+def _round_levels(sums: np.ndarray) -> np.ndarray:
+    """Each group's correctly rounded total of the exact level sums ``sums``
+    of :func:`_level_sums`, the float ``math.fsum`` of the group's terms
+    gives.  Where a group's sums of level 3 and beyond are all zero, its
+    exact total is L1 + L2, and one IEEE addition rounds that correctly;
+    any other group's level sums go to ``math.fsum``."""
+    total = sums[:2].sum(axis=0)  # L1 + L2, or L1 alone
+    if len(sums) > 2:
+        late = sums[2:].any(axis=0)
+        total[late] = [math.fsum(levels) for levels in sums[:, late].T.tolist()]
+    return total
+
+
 #: Sums of fewer terms go to ``math.fsum``, which is as fast at about 1,000
 #: mass products and faster below: on a 2-core x86-64 host it takes 44 us
 #: and the extraction 43 us at 1,000 terms, 93 us and 37 us at 2,048.
@@ -97,45 +157,18 @@ _FSUM_CROSSOVER = 2048
 
 
 def _exact_parts(terms: np.ndarray) -> np.ndarray:
-    """Floats whose exact sum is the exact sum of ``terms``: the few levels
-    of an error-free extraction, or, where that does not pay or does not
-    apply, the terms themselves.  ``math.fsum`` of the parts of one array or
-    of several, concatenated, is the correctly rounded sum of all their
-    terms.  ``terms`` may have any shape and is only read.
-
-    Long arrays are split exactly into levels (S. M. Rump, T. Ogita and
-    S. Oishi, "Accurate floating-point summation part I: faithful rounding",
-    SIAM J. Sci. Comput. 31(1), 2008).  With n terms p of largest magnitude
-    M, take sigma, a power of two with sigma >= (n + 2) M.  Then
-    q = (sigma + p) - sigma and p - q are exact: sigma + p lies in
-    [sigma / 2, 2 sigma], so the subtraction is exact (Sterbenz), and p - q
-    is the rounding error of sigma + p.  Every q is a multiple of u sigma
-    (u = 2^-53) with |q| <= |p| + u sigma, and while n (n + 2) <= 2^54 the q
-    sum to at most sigma in magnitude, as does every partial sum: multiples
-    of u sigma that small are floats, so ``np.sum`` adds them exactly in any
-    order.  The remainders p - q are at most u sigma, so each level shrinks
-    M by a factor of about n u.  Every float is a multiple of 2^-1074, and
-    once sigma is subnormal or near it sigma + p is exact, q = p and the
-    remainders are all zero: the loop ends, after two or three levels on
-    mass products.  No level is -0.0, since (sigma + p) - sigma is not, so
-    an exact zero total still rounds to +0.0, as it does for any terms not
-    all -0.0.  Non-finite or near-overflow terms are their own parts, for
+    """Floats whose exact sum is the exact sum of ``terms``: the level sums
+    of :func:`_level_sums` over the whole array or, where that does not pay
+    or does not apply, the terms themselves.  ``math.fsum`` of the parts of
+    one array or of several, concatenated, is the correctly rounded sum of
+    all their terms.  ``terms`` may have any shape and is only read.  An
+    exact zero total still rounds to +0.0 unless every term is -0.0, which
+    are their own parts; non-finite or near-overflow terms are too, for
     ``math.fsum``'s exceptions and its intermediate overflow.
     """
     n = terms.size
-    top = max(terms.max(), -terms.min()) if _FSUM_CROSSOVER <= n < 2**26 else 0.0
-    if not 0.0 < top <= 2.0**960:  # true for NaN and inf
-        return terms.ravel()
-    levels = []
-    rest = terms
-    while top:
-        sigma = math.ldexp(1.0, math.frexp((n + 2) * top)[1])
-        q = rest + sigma
-        q -= sigma
-        levels.append(q.sum())
-        rest = np.subtract(rest, q, out=q)  # never into the caller's array
-        top = max(rest.max(), -rest.min())
-    return np.array(levels)
+    sums = _level_sums(terms, n, np.sum) if n >= _FSUM_CROSSOVER else None
+    return terms.ravel() if sums is None else sums
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -147,90 +180,38 @@ def _fsum(terms: np.ndarray) -> float:
     return math.fsum(memoryview(_exact_parts(terms)))
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knuth's TwoSum: s = a + b rounded and its exact error, a + b - s."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _sum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The correctly rounded sums a + b + c, elementwise, by Boldo and
-    Melquiond's algorithm ("Emulation of FMA and correctly rounded sums:
-    proved algorithms using rounding to odd", IEEE Trans. Computers 57(4),
-    2008): two TwoSums leave th + tl + ul, exactly; tl + ul is rounded to
-    odd, which keeps a sticky bit for the final round to nearest.  Rounding
-    to odd is round to nearest moved one step towards the exact sum when
-    that is inexact and lands on an even significand: the neighbouring
-    float towards it is odd."""
-    uh, ul = _two_sum(b, c)
-    th, tl = _two_sum(a, uh)
-    v, err = _two_sum(tl, ul)
-    bump = (err != 0.0) & (v.view(np.uint64) & 1 == 0)  # inexact and even
-    v[bump] = np.nextafter(v[bump], np.copysign(np.inf, err[bump]))
-    return th + v
+def _fsum_slices(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each slice ``values[bounds[g]:bounds[g + 1]]``, one
+    by one; an empty slice sums to 0.0."""
+    view, bounds = memoryview(values), bounds.tolist()
+    return np.array([math.fsum(view[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
 def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Each group's correctly rounded sum, the float ``math.fsum`` gives,
-    bit for bit, for nonnegative finite ``values`` (no -0.0) whose group
-    sums are finite.  Group g is ``values[starts[g]:starts[g + 1]]``;
-    ``starts`` rises strictly from 0.  ``values`` is only read.
+    bit for bit, for finite ``values`` of either sign whose group sums are
+    finite, except that a group of only -0.0 sums to a zero of either sign.
+    Group g is ``values[starts[g]:starts[g + 1]]``; ``starts`` rises
+    strictly from 0.  ``values`` is only read.
 
-    A sum of one or two terms is one IEEE addition at most, so it is
-    already correctly rounded: ``np.add.reduceat`` gives it, and when no
-    group has three or more terms that is all.  Longer groups are split
-    exactly into three levels by error-free extraction, as in
-    :func:`_exact_parts`, but with one sigma per group: with n terms of
-    largest value M, sigma_1 = 2^(E + m), 2^E > M and 2^m >= n + 2, and
-    sigma_(l+1) = 2^(m - 53) sigma_l, which bounds (n + 2) times the
-    remainders of level l, as those are at most 2^-53 sigma_l.  Each
-    level's sum by ``np.add.reduceat`` is exact.  When the third level's
-    remainders are all zero, the group's exact sum is that of its three
-    level sums, which :func:`_sum3` rounds once.  A group that needs more
-    levels, whose sigma_1 overflows or whose sigma_3 is subnormal, or that
-    has 2^26 terms or more, goes to ``math.fsum``; mass products rarely
-    need to.
+    The levels of :func:`_level_sums`, with one sigma for every group, are
+    summed group by group with ``np.add.reduceat`` and rounded once by
+    :func:`_round_levels`.  Calls that the extraction leaves to
+    ``math.fsum`` (all zero, a non-finite or near-overflow term, a group of
+    2^26 terms or more) sum each group with it.
     """
-    sums = np.add.reduceat(values, starts)
-    sizes = np.concatenate((starts[1:], [len(values)])) - starts
-    if sizes.max() < 3:
-        return sums
-    long = sizes > 2
-    terms = values[np.repeat(long, sizes)]
-    sizes = sizes[long]
-    heads = np.cumsum(sizes) - sizes
-    m = np.frexp(sizes + 1.0)[1]  # 2^m > n + 1
-    exponent = np.frexp(np.maximum.reduceat(terms, heads))[1] + m
-    step = m - 53
-    fallback = (exponent > 1023) | (exponent + 2 * step < -1022) | (sizes >= 2**26)
-    exponent[fallback] = 0  # their levels are not used
-    levels = []
-    rest = terms
-    for _ in range(3):
-        sigma = np.repeat(np.ldexp(1.0, exponent), sizes)
-        q = rest + sigma
-        q -= sigma
-        levels.append(np.add.reduceat(q, heads))
-        rest = rest - q
-        exponent += step
-    fallback |= np.logical_or.reduceat(rest != 0.0, heads)
-    long_sums = _sum3(*levels)
-    if fallback.any():
-        view = memoryview(terms)
-        long_sums[fallback] = [
-            math.fsum(view[head : head + size])
-            for head, size in zip(heads[fallback].tolist(), sizes[fallback].tolist())
-        ]
-    sums[long] = long_sums
-    return sums
+    bounds = np.append(starts, len(values))
+    sums = _level_sums(
+        values, int(np.diff(bounds).max()), lambda q: np.add.reduceat(q, starts)
+    )
+    return _fsum_slices(values, bounds) if sums is None else _round_levels(sums)
 
 
 def conflict_k(m1: MassFunction, m2: MassFunction) -> float:
     """Classical conflict: total product mass on disjoint focal pairs."""
     require_same_frame(m1, m2)
-    inter, prod = _pair_terms(m1.arrays, m2.arrays)
-    return _fsum(prod[inter == 0])
+    inter, prod = (block.ravel() for block in _pair_terms(m1.arrays, m2.arrays))
+    return _fsum(prod.compress(inter == 0))
 
 
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:

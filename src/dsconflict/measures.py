@@ -11,10 +11,13 @@ Each result is the correctly rounded sum of an exact multiset of terms,
 :func:`fusion._fsum` of the exact parts of its blocks, which is
 ``math.fsum``'s float: bit-identical to a per-pair loop over the full
 square, so symmetric, with d(m, m) = +0.0 and r(m, m) = 1 exactly.
-The cosine measure :func:`song_cor` is defined over the whole power set, but
-its inner products depend on each focal pair only through four set sizes, so
-they are closed-form sums over focal pairs and work at every frame size.  The
-sum over subsets for one signature of set sizes is evaluated once per call,
+The pignistic probabilities of both BPAs of a pair come from one exact
+extraction of their shares and one 0/1 matrix product per level
+(:func:`_betp`), each label's sum rounded once.  The cosine measure
+:func:`song_cor` is defined over the whole power set, but its inner products
+depend on each focal pair only through four set sizes, so they are
+closed-form sums over focal pairs and work at every frame size.  The sum
+over subsets for one signature of set sizes is evaluated once per call,
 over its own row of terms, so it does not depend on the other signatures of
 the call, and nothing is kept between calls.  The Gram matrix check never
 forms a power-set matrix either: it decides the frame's symmetry blocks
@@ -41,8 +44,11 @@ from .fusion import (
     _Focal,
     _exact_parts,
     _fsum,
+    _fsum_slices,
     _jaccard,
+    _level_sums,
     _pair_terms,
+    _round_levels,
     _self_terms,
     conflict_k,
 )
@@ -73,11 +79,12 @@ CLAMP_TOL = 1e-12
 
 #: conflict_report computes ``cor`` only up to this frame size, although
 #: song_cor itself works on any frame.  On 30-63 hypotheses with 100-200 focal
-#: sets per BPA, cor costs about 1.1 times the rest of the report plus a
-#: combination (2.8-3.2 ms against 2.6-2.9 ms per pair; means over 13 pairs
-#: of the best of 9, the two timed in turn, 2-core x86-64 host), so it would
-#: double the cost of a report, and stays out of the report until a kernel
-#: fused with the focal-pair terms pays for it.
+#: sets per BPA, cor costs about 1.5 to 2 times the rest of the report plus a
+#: combination (3.0-4.7 ms against 2.0-2.4 ms per pair; means over the 13
+#: pairs of each of 3 seeds of the best of 9, the two timed in turn, 2-core
+#: x86-64 host), so it would more than double the cost of a report, and stays
+#: out of the report until a kernel fused with the focal-pair terms pays for
+#: it.
 SONG_COR_MAX_FRAME = 24
 
 #: gram_positive_definite checks frames up to this size.  Its time grows
@@ -180,8 +187,8 @@ class _PairForms:
 
     def conflict(self) -> float:
         """k: the products on disjoint pairs."""
-        prod = np.multiply.outer(self.x[1], self.y[1])
-        return _fsum(prod[self.jaccard == 0.0])
+        prod = np.multiply.outer(self.x[1], self.y[1]).ravel()
+        return _fsum(prod.compress(self.jaccard.ravel() == 0.0))
 
     def degrees(self) -> tuple[float, float, float]:
         """c12, c11 and c22."""
@@ -283,19 +290,44 @@ class PignisticDistribution:
 def pignistic(m: MassFunction) -> PignisticDistribution:
     """Pignistic transformation: each focal mass split evenly over its members.
 
-    Each label's probability is one ``fsum`` of the shares m(A) / |A| of the
-    focal sets A that contain it, gathered label by label into one array.
+    Each label's probability is the correctly rounded sum of the shares
+    m(A) / |A| of the focal sets A that contain it (:func:`_betp`).
     """
-    return PignisticDistribution(m.frame, _betp(m.arrays, m.frame.size))
+    betp = _betp((m.arrays,), m.frame.size)
+    return PignisticDistribution(m.frame, tuple(betp[0].tolist()))
 
 
-def _betp(x: _Focal, n: int) -> tuple[float, ...]:
-    masks, masses = x
-    shares = masses / np.bitwise_count(masks)
-    label, focal = np.nonzero((masks >> np.arange(n, dtype=np.uint64)[:, None]) & 1)
-    by_label = memoryview(shares[focal])  # nonzero lists label 0's first
-    bounds = np.searchsorted(label, np.arange(n + 1)).tolist()
-    return tuple(math.fsum(by_label[a:b]) for a, b in zip(bounds, bounds[1:]))
+def _betp(bpas: tuple[_Focal, ...], n: int) -> np.ndarray:
+    """The pignistic probabilities of each BPA on an n-hypothesis frame, one
+    row each: every label's sum of the shares m(A) / |A| of the focal sets
+    A that contain it, the float ``math.fsum`` of them gives, bit for bit.
+
+    The shares of all the BPAs are extracted once into exact levels
+    (:func:`fusion._level_sums`), and each level's sums for every BPA and
+    every label come from one product: a B x F block, whose row b holds the
+    level's terms of BPA b and zeros elsewhere, times the F x n 0/1
+    membership matrix of all F focal sets.  Each entry of the product is a
+    sum of exact terms q * 1 and q * 0, so it is exact whatever the order
+    of its additions: SIMD lanes, FMA and BLAS blocking keep it exact; a
+    Strassen-type product, which combines entries before it multiplies,
+    would not.  :func:`fusion._round_levels` rounds each label's level sums
+    once.  A BPA of 2^26 focal sets or more is summed label by label.
+    """
+    masks = np.concatenate([m for m, _ in bpas])
+    shares = np.concatenate([w for _, w in bpas]) / np.bitwise_count(masks)
+    sizes = [len(m) for m, _ in bpas]
+    # bit i of each mask in column i
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8), bitorder="little")
+    member = bits.reshape(-1, 64)[:, :n].astype(np.float64)
+    which = np.repeat(np.eye(len(bpas)), sizes, axis=1)
+    sums = _level_sums(shares, max(sizes), lambda q: (which * q) @ member)
+    if sums is not None:
+        return _round_levels(sums)
+    # label by label, and each BPA's focal sets after the one before
+    label, focal = np.nonzero(member.T)
+    group = label * len(sizes) + np.searchsorted(np.cumsum(sizes), focal, "right")
+    bounds = np.searchsorted(group, np.arange(n * len(sizes) + 1))
+    return _fsum_slices(shares[focal], bounds).reshape(n, len(sizes)).T
 
 
 def dif_betp(m1: MassFunction, m2: MassFunction) -> float:
@@ -309,8 +341,9 @@ def dif_betp(m1: MassFunction, m2: MassFunction) -> float:
 
 
 def _dif_betp(x: _Focal, y: _Focal, n: int) -> float:
-    pairs = zip(_betp(x, n), _betp(y, n))
-    return math.fsum(d for d in (a - b for a, b in pairs) if d > 0.0)
+    betp1, betp2 = _betp((x, y), n)
+    d = betp1 - betp2
+    return math.fsum(d[d > 0.0].tolist())
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,11 @@ from dsconflict.fusion import (
     _exact_parts,
     _fsum,
     _jaccard,
+    _level_sums,
     _pair_terms,
+    _round_levels,
     _segment_sums,
     _self_terms,
-    _sum3,
 )
 from dsconflict.measures import _PairForms, _positive_definite, _song_sums
 from generators import LABEL_POOL
@@ -635,15 +636,17 @@ class TestCorrectlyRoundedSum:
 
 
 def _group(kind: str, size: int, rng) -> np.ndarray:
-    """``size`` nonnegative finite terms of one group, shuffled.
+    """``size`` finite terms of one group, shuffled.
 
     "masses": values as mass products are, down to about 2^-60; "wide":
     exponents over a random stretch of the range, down to 2^-1074, so that
-    some groups need more than three levels; "subnormal": every term below
-    2^-1022; "huge": terms so large that sigma may overflow; "tie": a sum
-    on a rounding tie of its largest term or just above one.  Every kind
-    but "tie" is sometimes half repeats of its other half, and sprinkled
-    with zeros or all zero.
+    some groups need more than two levels; "subnormal": every term below
+    2^-1022; "huge": terms so large that sigma would overflow; "tie": a sum
+    on a rounding tie of its largest term or just above one; "zero": +0.0
+    and -0.0, never only -0.0.  Every kind but "tie" and "zero" is sometimes
+    half repeats of its other half, sprinkled with zeros or all zero, and
+    sometimes of either sign, or cancelled by its own negations plus a tie
+    tail.
     """
     if kind == "huge":  # as large as a finite group sum allows
         top = 1022 - size.bit_length()
@@ -662,36 +665,54 @@ def _group(kind: str, size: int, rng) -> np.ndarray:
         tail = np.zeros(max(size - 2, 0))
         tail[:3] = np.ldexp(rng.integers(1, 8, len(tail[:3])), top - depth)
         terms = np.concatenate((head, tail))[:size]
+    elif kind == "zero":
+        terms = rng.choice((0.0, -0.0), size)
+        terms[rng.integers(size)] = 0.0
     else:
         low = int(rng.integers(-1074, -60)) if kind == "wide" else -60
         terms = np.ldexp(rng.random(size), rng.integers(low, 0, size, endpoint=True))
-    if kind != "tie":
+    if kind not in ("tie", "zero"):
         if rng.random() < 0.2:
             terms[size // 2 :] = terms[: size - size // 2]
         terms[rng.random(size) < rng.choice((0.0, 0.1, 1.0), p=(0.6, 0.3, 0.1))] = 0.0
+        sign = rng.choice(("+", "+-", "cancel"))
+        if sign == "+-":
+            terms *= rng.choice((-1.0, 1.0), size)
+            terms[rng.integers(size)] = abs(terms[0])  # not all -0.0
+        elif sign == "cancel" and size > 2 and kind != "huge":
+            tail = SUM_TAILS[int(rng.integers(len(SUM_TAILS)))]
+            terms = _cancelling(terms[: (size - len(tail)) // 2], tail, rng)
+            terms = np.concatenate((terms, np.zeros(size - len(terms))))
     rng.shuffle(terms)
     return terms
 
 
 @st.composite
 def segmented_arrays(draw):
-    """Groups of 1-10,000 nonnegative finite terms, laid end to end, and
-    the start of each group."""
+    """Groups of 1-10,000 finite terms, laid end to end, and the start of
+    each group."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(
         st.integers(1, 4) | st.integers(1, 300) | st.integers(3, 10_000),
         min_size=1,
         max_size=8,
     ))
-    kinds = st.sampled_from(("masses", "masses", "wide", "subnormal", "huge", "tie"))
+    kinds = st.sampled_from(("masses", "masses", "wide", "subnormal", "huge", "tie", "zero"))
     groups = [_group(draw(kinds), size, rng) for size in sizes]
     starts = np.cumsum([0] + sizes[:-1])
     return np.concatenate(groups), starts
 
 
+def _group_fsums(values: np.ndarray, starts: np.ndarray) -> list:
+    """``math.fsum``'s outcome for each group, as :func:`_sum_outcome`."""
+    ends = [*starts[1:].tolist(), len(values)]
+    return [_sum_outcome(math.fsum, values[a:b].tolist())
+            for a, b in zip(starts.tolist(), ends)]
+
+
 class TestSegmentSums:
     """``_segment_sums`` returns each group's ``math.fsum`` float, bit for
-    bit, and ``_sum3`` the correctly rounded sum of three floats."""
+    bit, and ``_round_levels`` the correctly rounded sum of its levels."""
 
     @given(segmented_arrays())
     def test_each_group_equals_math_fsum(self, arrays):
@@ -700,32 +721,67 @@ class TestSegmentSums:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = _segment_sums(values, starts)
-        ends = [*starts[1:].tolist(), len(values)]
-        want = [math.fsum(values[a:b].tolist()) for a, b in zip(starts.tolist(), ends)]
-        assert [g.hex() for g in got.tolist()] == [w.hex() for w in want]
+        assert [g.hex() for g in got.tolist()] == _group_fsums(values, starts)
         assert values.tobytes() == before
 
     @pytest.mark.parametrize("kind", ["wide", "subnormal", "huge"])
     def test_fallback_groups(self, kind, monkeypatch):
-        # groups that need more than three levels, whose sigma is
-        # subnormal or whose sigma overflows go to math.fsum; the group of
-        # three mass products does not
+        # which sums reach math.fsum: a group whose level sums go past the
+        # second (spread over 900 binades, or subnormal below a group of
+        # normal terms) is rounded from its level sums, and a call with a
+        # near-overflow term sums each group from its terms; a group of
+        # three products that the first level holds exactly never does
         rng = np.random.default_rng(7)
-        groups = [_group(kind, 5000, rng), _group("masses", 3, rng)]
-        if kind == "wide":  # four levels: spread over 900 binades
+        groups = [_group(kind, 5000, rng), np.array([0.5, 0.25, 0.125])]
+        if kind == "wide":
             groups[0][:4] = [1.0, 2.0**-300, 2.0**-600, 2.0**-900]
-        if kind == "huge":  # sigma_1 = 2^(1011 + 13)
+        if kind == "huge":  # beyond 2^960
             groups[0][0] = 2.0**1010
         values = np.concatenate(groups)
         starts = np.array([0, 5000])
         calls, fsum = [], math.fsum
-        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(len(terms)) or fsum(terms))
         got = _segment_sums(values, starts)
         monkeypatch.undo()
-        assert len(calls) == 1
-        assert [g.hex() for g in got.tolist()] == [
-            math.fsum(group.tolist()).hex() for group in groups
-        ]
+        if kind == "huge":
+            assert calls == [5000, 3]
+        else:
+            assert len(calls) == 1 and 2 < calls[0] < 80
+        assert [g.hex() for g in got.tolist()] == _group_fsums(values, starts)
+
+    @pytest.mark.parametrize("special", [(math.inf,), (-math.inf,), (math.nan,)])
+    def test_non_finite_calls_go_to_fsum(self, special):
+        # a non-finite term sends every group of the call to math.fsum,
+        # with its result or its exception
+        rng = np.random.default_rng(11)
+        groups = [_group("masses", 3000, rng), _group("masses", 3, rng)]
+        groups[0][:len(special)] = special
+        values, starts = np.concatenate(groups), np.array([0, 3000])
+        assert [g.hex() for g in _segment_sums(values, starts).tolist()] == \
+            _group_fsums(values, starts)
+        cancel = np.concatenate(([math.inf, -math.inf], groups[1]))
+        with pytest.raises(ValueError):
+            _segment_sums(cancel, np.array([0, 2]))
+
+    def test_extraction_limits(self):
+        terms = np.array([0.5, 0.25, 2.0**-80])
+        assert _level_sums(terms, 2**26 - 1, np.sum) is not None
+        assert _level_sums(terms, 2**26, np.sum) is None
+        assert _level_sums(np.array([2.0**960, 1.0]), 2, np.sum) is not None
+        assert _level_sums(np.array([2.0**960 * (1 + 2.0**-52), 1.0]), 2, np.sum) is None
+        assert _level_sums(np.array([0.0, -0.0]), 2, np.sum) is None
+        assert _level_sums(np.array([math.nan, 1.0]), 2, np.sum) is None
+
+    def test_negative_zero_groups_sum_to_zero(self):
+        # outside the math.fsum contract: a group of only -0.0 sums to a
+        # zero, +0.0 from the levels, math.fsum's zero when the whole call
+        # is zero
+        values = np.array([-0.0, -0.0, 0.5, 0.25, 0.125, -0.0])
+        got = _segment_sums(values, np.array([0, 2, 5]))
+        assert got.tolist() == [0.0, 0.875, 0.0]
+        assert math.copysign(1.0, got[0]) == 1.0
+        zeros = np.array([-0.0, -0.0, 0.0])
+        assert _segment_sums(zeros, np.array([0, 2])).tolist() == [0.0, 0.0]
 
     def test_groups_of_one_or_two_are_plain_sums(self):
         values = np.array([0.1, 0.2, 0.3, 2.0**-1074, 1.0, 2.0**-53])
@@ -737,25 +793,26 @@ class TestSegmentSums:
     @given(st.lists(
         st.floats(allow_nan=False, allow_infinity=False, max_value=2.0**1020,
                   min_value=-(2.0**1020)),
-        min_size=3,
-        max_size=3,
+        min_size=1,
+        max_size=5,
     ))
-    def test_sum3_rounds_once(self, terms):
-        a, b, c = (np.array([t]) for t in terms)
-        exact = Fraction(terms[0]) + Fraction(terms[1]) + Fraction(terms[2])
-        assert _sum3(a, b, c)[0] == float(exact)
+    def test_levels_round_once(self, levels):
+        exact = sum(map(Fraction, levels))
+        got = _round_levels(np.array(levels)[:, None])
+        assert got.shape == (1,) and got[0] == float(exact)
 
-    @pytest.mark.parametrize("terms", [
+    @pytest.mark.parametrize("levels", [
         (1.0, 2.0**-53, 2.0**-110),  # just above a tie: rounds up
         (1.0, 2.0**-53, -(2.0**-110)),  # just below: rounds down
         (1.0 + 2.0**-52, 2.0**-53, 0.0),  # on a tie: to even, up
         (2.0**-1022, 2.0**-1074, 2.0**-1074),
+        (1.0, 2.0**-53, 0.0, 0.0, 2.0**-1074),  # a fifth level decides
     ])
-    def test_sum3_ties(self, terms):
-        a, b, c = (np.array([t]) for t in terms)
-        want = float(sum(map(Fraction, terms)))
-        assert _sum3(a, b, c)[0].hex() == want.hex()
-        assert _sum3(c, b, a)[0].hex() == want.hex()
+    def test_late_levels_decide_ties(self, levels):
+        # the finish looks past the second level; the columns are groups
+        sums = np.array([levels, levels[::-1]]).T
+        want = float(sum(map(Fraction, levels)))
+        assert [g.hex() for g in _round_levels(sums).tolist()] == [want.hex()] * 2
 
 
 class TestPignistic:
@@ -786,6 +843,66 @@ class TestPignistic:
         value = ds.dif_betp(m1, m2)
         assert abs(value - ds.dif_betp(m2, m1)) <= 1e-12
         assert 0.0 <= value <= 1.0
+
+
+@st.composite
+def pignistic_pairs(draw):
+    """BPA pairs on frames of 1-63 hypotheses, many masks using the top bit
+    (bit 62 at 63), some labels in no focal set, and masses from 2^-1074 to
+    1: up to 23 masses below 2^-6 of any exponent, or just below the ulp
+    of the largest, and the largest mass 1 less their sum."""
+    n = draw(st.integers(1, 63) | st.just(63))
+    frame = ds.make_frame(LABEL_POOL[:n])
+    full, top = frame.full_mask, 1 << (n - 1)
+    keep = full & ~draw(st.integers(0, full >> 1) | st.just(0))
+    masks = st.integers(1, full) | st.integers(0, full >> 1).map(lambda m: m | top)
+
+    def bpa() -> ds.MassFunction:
+        chosen = sorted({m & keep or top for m in draw(st.lists(masks, min_size=1, max_size=24))})
+        small = [
+            math.ldexp(draw(st.integers(1, 2**53 - 1)),
+                       draw(st.integers(-1074, -59) | st.integers(-75, -59)))
+            for _ in chosen[1:]
+        ]
+        big = 1.0 - math.fsum(small)
+        order = draw(st.permutations(range(len(chosen))))
+        return ds.MassFunction(frame, {chosen[i]: w for i, w in zip(order, [big, *small])})
+
+    return bpa(), bpa()
+
+
+class TestPignisticSums:
+    """BetP and difBetP, from one extraction of both BPAs' shares and one
+    0/1 matrix product per level, are the floats of a per-label
+    ``math.fsum``, bit for bit."""
+
+    @given(pignistic_pairs())
+    def test_probabilities_equal_per_label_fsum(self, pair):
+        for m in pair:
+            got = ds.pignistic(m).probabilities
+            assert [p.hex() for p in got] == [p.hex() for p in oracles.sparse_pignistic(m)]
+
+    @given(pignistic_pairs())
+    def test_dif_betp_equals_fsum_of_differences(self, pair):
+        m1, m2 = pair
+        betp1, betp2 = map(oracles.sparse_pignistic, pair)
+        want = math.fsum(d for d in (a - b for a, b in zip(betp1, betp2)) if d > 0.0)
+        assert ds.dif_betp(m1, m2).hex() == want.hex()
+        assert ds.conflict_report(m1, m2).dif_betp.hex() == want.hex()
+
+    @given(pignistic_pairs())
+    def test_label_by_label_fallback(self, pair):
+        # the path of a BPA of 2^26 focal sets or more, which the
+        # extraction leaves to math.fsum
+        from dsconflict import measures
+
+        m1, m2 = pair
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_level_sums", lambda *args: None)
+            got = [p.hex() for p in ds.pignistic(m1).probabilities]
+            dif = ds.dif_betp(m1, m2)
+        assert got == [p.hex() for p in oracles.sparse_pignistic(m1)]
+        assert dif.hex() == ds.dif_betp(m1, m2).hex()
 
 
 class TestSongCor:
