@@ -38,6 +38,7 @@ __all__ = [
     "Frame",
     "MassFunction",
     "make_frame",
+    "set_to_text",
     "make_bpa",
     "bpa_equal",
     "vacuous_bpa",

@@ -10,8 +10,8 @@ The document layout::
       ]
     }
 
-Parsing is strict: unknown keys, wrong types, unknown labels, negative,
-non-finite or unnormalized masses all raise
+Parsing is strict: unknown or repeated keys, wrong types, unknown labels,
+negative, non-finite or unnormalized masses all raise
 :class:`~dsconflict.errors.DocumentError` whose ``where`` attribute points at
 the offending element (``bpas[1].masses[0].mass`` and the like).  The label
 and mass rules themselves are :mod:`dsconflict.core`'s (``Frame.subset`` and
@@ -68,9 +68,27 @@ def _require(condition: bool, where: str, message: str) -> None:
         raise DocumentError(where, message)
 
 
+class _Repeated(dict):
+    """A JSON object whose ``key`` repeats, refused where the layout reads
+    it, so that the error names its position."""
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """``json``'s hook for every object: a dict, a :class:`_Repeated` one if
+    a key repeats (``json`` alone keeps the last value)."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        keys = [k for k, _ in pairs]
+        value = _Repeated(value)
+        value.key = next(k for k in value if keys.count(k) > 1)
+    return value
+
+
 def _require_object(value: object, where: str, keys: tuple[str, ...]) -> dict:
     _require(isinstance(value, dict), where, "expected an object")
     assert isinstance(value, dict)
+    if isinstance(value, _Repeated):
+        raise DocumentError(where, f"duplicate key {value.key!r}")
     if value.keys() != set(keys):  # the loops only say what is wrong
         for key in value:
             _require(
@@ -150,7 +168,7 @@ def _parse_bpa(frame: Frame, value: object, where: str) -> tuple[str, MassFuncti
 def loads(text: str) -> BpaDocument:
     """Parse a BPA document from JSON text."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}"

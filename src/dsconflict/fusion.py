@@ -150,9 +150,9 @@ def _round_levels(sums: np.ndarray) -> np.ndarray:
     return total
 
 
-#: Sums of fewer terms go to ``math.fsum``, which is as fast at about 1,000
-#: mass products and faster below: on a 2-core x86-64 host it takes 44 us
-#: and the extraction 43 us at 1,000 terms, 93 us and 37 us at 2,048.
+#: Sums of fewer terms go to ``math.fsum``, which is about as fast at 1,000
+#: mass products and faster below: on a 2-core x86-64 host it takes 51-56 us
+#: and the extraction 47-48 us at 1,024 terms, 93-111 us and 49-50 us at 2,048.
 _FSUM_CROSSOVER = 2048
 
 

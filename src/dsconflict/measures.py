@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -113,10 +113,7 @@ def jaccard(a: SubsetMask, b: SubsetMask) -> float:
     """
     if a == 0 and b == 0:
         raise BothEmptyError("the Jaccard index of two empty sets is undefined")
-    inter = (a & b).bit_count()
-    if inter == 0:
-        return 0.0
-    return inter / (a | b).bit_count()
+    return (a & b).bit_count() / (a | b).bit_count()
 
 
 def correlation_degree(m1: MassFunction, m2: MassFunction) -> float:
@@ -140,9 +137,12 @@ class _PairForms:
     the two mask arrays.  m1's sets are laid out as [Xo | S] and m2's as
     [S | Yo].  Three blocks are formed: the self triangles of Xo and of Yo
     (:func:`fusion._self_terms`), and the cross block of m1's sets against
-    m2's, which holds every other pair, the rows of S against every focal
-    set among them.  No Jaccard ratio is formed twice for the same ordered
-    pair.
+    m2's, which holds every other pair.  No Jaccard ratio is formed twice
+    for the same ordered pair.  c11, c22 and the quadratic form take one
+    mirror rule: a term on (A, B) is bit-equal to its term on (B, A).  So
+    S x S, which holds both images, is summed in full, and Xo x S and
+    S x Yo, which hold one, are doubled after their products are rounded,
+    which is exact.
 
     On a pair of one-sided sets the quadratic form's term is the c11 term
     (Xo x Xo), the c22 term (Yo x Yo) or -2 times the c12 term (Xo x Yo,
@@ -154,17 +154,15 @@ class _PairForms:
     that a per-pair loop with one ``math.fsum`` gives.  The Xo x Yo block
     holds exact zeros on disjoint pairs, and sets of S with d = 0 give exact
     zeros too.  Neither changes an exact sum, and a zero total stays +0.0:
-    the diagonal terms d * d are never -0.0, so d(m, m) = +0.0.
+    the diagonal terms of S x S are never -0.0, so d(m, m) = +0.0.
     """
 
     def __init__(self, x: _Focal, y: _Focal):
         (xm, xw), (ym, yw) = x, y
         # a merge of the two ascending mask arrays: where each of m1's sets
-        # would go among m2's, and whether it is there
+        # would go among m2's, and whether it is there (0 is no focal mask)
         at = np.searchsorted(ym, xm)
-        inside = at < len(ym)
-        shared = np.zeros(len(xm), bool)
-        shared[inside] = ym[at[inside]] == xm[inside]
+        shared = np.append(ym, np.uint64(0))[at] == xm
         in_y = np.zeros(len(ym), bool)
         in_y[at[shared]] = True
         s = int(np.count_nonzero(shared))
@@ -181,9 +179,6 @@ class _PairForms:
         xy = np.multiply.outer(xw[:a], yw[s:])
         xy *= self.jaccard[:a, s:]
         self.xy = _exact_parts(xy)
-        #: the pairs of the block [Xo | S] x S that stand for their mirror
-        #: images too: Xo x S, and S x S above its diagonal
-        self.upper = np.arange(s) > np.arange(-a, s)[:, None]
 
     def conflict(self) -> float:
         """k: the products on disjoint pairs."""
@@ -200,16 +195,14 @@ class _PairForms:
             (jaccard[:, :s] * np.multiply.outer(xw, ys)).ravel(),
             (jaccard[a:, s:] * np.multiply.outer(xs, yw[s:])).ravel(),
         )
-        c11 = (jaccard[:, :s] * np.multiply.outer(xw, xs))[self.upper]
-        c11 *= 2.0
-        # S x S above its diagonal, and S x Yo
-        upper = np.arange(len(yw)) > np.arange(s)[:, None]
-        c22 = (jaccard[a:] * np.multiply.outer(ys, yw))[upper]
-        c22 *= 2.0
+        c11 = jaccard[:, :s] * np.multiply.outer(xw, xs)
+        c11[:a] *= 2.0  # Xo x S
+        c22 = jaccard[a:] * np.multiply.outer(ys, yw)
+        c22[:, s:] *= 2.0  # S x Yo
         return (
             _fsum(np.concatenate(c12)),
-            _fsum(np.concatenate((self.xo, xs * xs, c11))),
-            _fsum(np.concatenate((self.yo, ys * ys, c22))),
+            _fsum(np.concatenate((self.xo, c11.ravel()))),
+            _fsum(np.concatenate((self.yo, c22.ravel()))),
         )
 
     def quad(self) -> float:
@@ -217,14 +210,14 @@ class _PairForms:
         a, s, jaccard = self.a, self.s, self.jaccard
         (_, xw), (_, yw) = self.x, self.y
         d = xw[a:] - yw[:s]  # on S; d = m1 on Xo and -m2 on Yo
-        upper = np.multiply.outer(np.concatenate((xw[:a], d)), d)
-        upper *= jaccard[:, :s]
-        yo = np.multiply.outer(d, -yw[s:])
+        rows = np.multiply.outer(np.concatenate((xw[:a], d)), d)  # [Xo | S] x S
+        rows *= jaccard[:, :s]
+        rows[:a] *= 2.0  # Xo x S
+        yo = np.multiply.outer(d, -yw[s:])  # S x Yo
         yo *= jaccard[a:, s:]
-        doubled = np.concatenate((upper[self.upper], yo.ravel()))
-        doubled *= 2.0
+        yo *= 2.0
         return _fsum(
-            np.concatenate((self.xo, self.yo, -2.0 * self.xy, d * d, doubled))
+            np.concatenate((self.xo, self.yo, -2.0 * self.xy, rows.ravel(), yo.ravel()))
         )
 
 
@@ -356,12 +349,7 @@ class LiuConflict:
     in_conflict: bool
 
     def to_dict(self) -> dict[str, float | bool]:
-        return {
-            "k": self.k,
-            "dif_betp": self.dif_betp,
-            "epsilon": self.epsilon,
-            "in_conflict": self.in_conflict,
-        }
+        return asdict(self)
 
 
 def _check_threshold(epsilon: float) -> float:
@@ -459,19 +447,17 @@ def _song_inners(x: _Focal, y: _Focal, n: int) -> tuple[float, float, float]:
     of x and y together.  Each distinct signature is evaluated once
     (:func:`_song_sums`), keyed with j <= k, so swapping x and y swaps no
     bits of the result, and S is the same float whichever other signatures
-    share the call.  Earlier versions summed S over a zero-padded row as
-    wide as the widest of its call, so a result may differ from theirs by
-    an ulp or two.
+    share the call.
     """
     size = n + 1
     count = len(x[0])
-    masks, weights = np.concatenate((x[0], y[0])), np.concatenate((x[1], y[1]))
-    card = np.bitwise_count(masks).astype(np.intp)
-    p = np.bitwise_count(np.bitwise_and.outer(masks, masks)).astype(np.intp)
+    both = np.concatenate((x[0], y[0])), np.concatenate((x[1], y[1]))
+    inter, terms = _pair_terms(both, both)
+    card = np.bitwise_count(both[0]).astype(np.intp)
+    p = np.bitwise_count(inter).astype(np.intp)
     lo = np.minimum.outer(card, card) - p
     hi = np.maximum.outer(card, card) - p
-    sums = _song_sums(((p * size + lo) * size + hi).ravel(), n).reshape(p.shape)
-    terms = np.multiply.outer(weights, weights) * sums
+    terms *= _song_sums(((p * size + lo) * size + hi).ravel(), n).reshape(p.shape)
     return (
         _fsum(terms[:count, count:]),
         _fsum(terms[:count, :count]),
@@ -620,15 +606,8 @@ class ConflictReport:
     liu: LiuConflict | None
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "k": self.k,
-            "d_bba": self.d_bba,
-            "dif_betp": self.dif_betp,
-            "cor": self.cor,
-            "r_bpa": self.r_bpa,
-            "k_r": self.k_r,
-            "liu": None if self.liu is None else self.liu.to_dict(),
-        }
+        """The fields in order, ``liu`` as its own dict or None."""
+        return asdict(self)
 
 
 def conflict_report(

@@ -404,6 +404,17 @@ class TestMalformedDocuments:
         assert result.returncode == 2
         assert "bpas[0].masses[0].set" in result.stderr
 
+    def test_duplicate_key_positioned(self, tmp_path):
+        path = self.write(tmp_path, (
+            '{"frame": ["A1"], "bpas": [{"name": "m", "masses": ['
+            '{"set": ["A1"], "mass": 0.2, "mass": 1.0}]}]}'
+        ))
+        result = run_cli("measure", "--input", path, "--pair", "m", "m")
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: bpas[0].masses[0]: duplicate key 'mass'\n"
+        )
+
     def test_invalid_json_positioned(self, tmp_path):
         path = self.write(tmp_path, '{"frame": ["A1"], "bpas": [')
         result = run_cli("measure", "--input", path, "--pair", "m", "m")

@@ -94,6 +94,24 @@ class TestLoads:
                 '{"name": "m", "masses": [{"set": ["A1"], "mass": 1.0}]}]}')
         assert where_of(document.loads, text) == "bpas[1].name"
 
+    @pytest.mark.parametrize(
+        "text, where, key",
+        [
+            ('{"frame": ["A1"], "frame": ["A1", "A2"], "bpas": []}', "", "frame"),
+            ('{"frame": ["A1"], "bpas": [{"name": "m1", "name": "m3", "masses": '
+             '[{"set": ["A1"], "mass": 1}]}]}', "bpas[0]", "name"),
+            ('{"frame": ["A1", "A2"], "bpas": [{"name": "m1", "masses": ['
+             '{"set": ["A2"], "mass": 0.5}, {"set": ["A1"], "mass": 0.2, "mass": 1}'
+             ']}]}', "bpas[0].masses[1]", "mass"),
+        ],
+    )
+    def test_duplicate_key_positioned(self, text, where, key):
+        # json would keep the last value; the document is refused instead
+        with pytest.raises(ds.DocumentError) as info:
+            document.loads(text)
+        assert info.value.where == where
+        assert info.value.message == f"duplicate key {key!r}"
+
     def test_mass_entry_not_object(self):
         text = '{"frame": ["A1"], "bpas": [{"name": "m", "masses": [5]}]}'
         assert where_of(document.loads, text) == "bpas[0].masses[0]"

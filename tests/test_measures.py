@@ -424,9 +424,16 @@ class TestConflictReport:
 
     def test_to_dict_round_trips_fields(self, pair1):
         m1, m2 = pair1
-        payload = ds.conflict_report(m1, m2, epsilon=0.5).to_dict()
+        report = ds.conflict_report(m1, m2, epsilon=0.5)
+        payload = report.to_dict()
+        assert list(payload) == ["k", "d_bba", "dif_betp", "cor", "r_bpa", "k_r", "liu"]
         assert payload["k_r"] == 1.0 - payload["r_bpa"]
-        assert payload["liu"]["in_conflict"] is True
+        assert payload["d_bba"] == report.d_bba and payload["cor"] == report.cor
+        assert payload["liu"] == {
+            "k": report.k, "dif_betp": report.dif_betp, "epsilon": 0.5,
+            "in_conflict": True,
+        }
+        assert ds.conflict_report(m1, m2).to_dict()["liu"] is None
 
     def test_bad_threshold(self, pair1):
         m1, m2 = pair1

@@ -7,11 +7,16 @@ distinct BPAs stay well separated from floating-point noise.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
+import tempfile
 import warnings
 from fractions import Fraction
+from pathlib import PurePath
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from hypothesis import given, strategies as st
 
 import dsconflict as ds
 import oracles
+from dsconflict import cli
 from dsconflict.fusion import (
     _FSUM_CROSSOVER,
     _exact_parts,
@@ -1006,10 +1012,10 @@ _JSON = st.recursive(
 )
 
 
-def _mostly(valid):
-    """``valid`` seven times in eight, any JSON value otherwise, so that most
-    documents get deep enough for the mass rules to run."""
-    return st.integers(0, 7).flatmap(lambda i: valid if i else _JSON)
+def _mostly(valid, other=_JSON):
+    """``valid`` seven times in eight, ``other`` (any JSON value) otherwise,
+    so that most documents get deep enough for the mass rules to run."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else other)
 
 
 def _fuzzed_documents():
@@ -1069,6 +1075,106 @@ class TestValidationNeverEscapes:
             return
         for m in doc.bpas.values():
             _assert_valid(m)
+
+
+def _numbers(lo: int, hi: int):
+    """An option value: mostly an integer in [lo, hi], else one far beyond
+    every cap or text that is no integer at all (``int`` also reads "5_0"
+    and non-ASCII digits, which would not keep the work bounded)."""
+
+    def not_an_int(text: str) -> bool:
+        try:
+            int(text)
+        except ValueError:
+            return True
+        return False
+
+    return _mostly(
+        st.integers(lo, hi).map(str),
+        st.integers(10**3, 10**30).map(str) | st.text(max_size=4).filter(not_an_int),
+    )
+
+
+_NAMES = _mostly(st.sampled_from(["m1", "m2"]), st.just("m3") | st.text(max_size=3))
+
+
+#: the document's path, under a directory each example makes
+_INPUT = st.just(PurePath("input.json"))
+
+#: each command's options and their values, a tuple for --pair's two
+_OPTIONS = {
+    "measure": {
+        "--input": _INPUT, "--pair": st.tuples(_NAMES, _NAMES),
+        "--epsilon": _mostly(
+            st.floats(0, 1).map(repr), st.floats().map(repr) | st.text(max_size=6)
+        ),
+        "--precision": _numbers(-1, 18),
+    },
+    "combine": {
+        "--input": _INPUT, "--pair": st.tuples(_NAMES, _NAMES),
+        "--precision": _numbers(-1, 18),
+    },
+    "sweep": {"--frame-size": _numbers(-2, 70), "--precision": _numbers(-1, 18)},
+    # 51 to 63 pass the frame cap and fail the check's, with no work done
+    "gram-check": {"--n": _numbers(-2, 16) | st.integers(51, 63).map(str)},
+}
+
+
+def _pair_document(pair) -> bytes:
+    m1, m2 = pair
+    doc = ds.BpaDocument(frame=m1.frame, bpas={"m1": m1, "m2": m2})
+    return ds.dumps_document(doc).encode()
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for one of the four commands, each option present or not,
+    with arbitrary values, and the bytes of its ``--input``: arbitrary, a
+    well-shaped document with arbitrary values, or a valid one.  The paths
+    of ``--input`` and ``--output`` are relative, as :class:`PurePath`."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option, values in _OPTIONS[command].items():
+        if draw(st.integers(0, 7)):  # mostly present
+            value = draw(values)
+            argv += [option, *(value if isinstance(value, tuple) else [value])]
+    output = draw(st.sampled_from([None, None, "out.txt", "missing/out.txt", "."]))
+    if output is not None:
+        argv += ["--output", PurePath(output)]
+    data = draw(
+        st.binary(max_size=200)
+        | _fuzzed_documents().map(str.encode)
+        | bpa_pairs().map(_pair_document)
+    )
+    return argv, data
+
+
+class TestCliBoundary:
+    """Every argv and input ends in exit 0 to 3 with no escaping exception:
+    1 only with argparse's usage line, 2 and 3 with one ``error:`` line."""
+
+    @given(cli_calls())
+    def test_exit_codes_and_messages(self, call):
+        template, data = call
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "input.json")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            argv = [
+                os.path.join(work, a) if isinstance(a, PurePath) else a
+                for a in template
+            ]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert lines[0].startswith("usage: dsconflict")
+            assert lines[-1].startswith("dsconflict")
+            assert ": error: " in lines[-1]
+        elif code in (2, 3):
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 @st.composite
