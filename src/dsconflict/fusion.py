@@ -1,9 +1,10 @@
 """Dempster's rule of combination, the classical conflict coefficient, and
 the focal-pair kernels that every pairwise measure is built on: the cross
 terms of two BPAs, their Jaccard ratios and the symmetric Jaccard self-form
-terms of one.  The kernels read a BPA's focal arrays
-(:attr:`~dsconflict.core.MassFunction.arrays`) directly.  Every sum of
-their terms is correctly rounded, from one error-free extraction
+terms of one, by cyclic diagonals (:func:`_self_terms`).  The kernels read
+a BPA's focal arrays (:attr:`~dsconflict.core.MassFunction.arrays`)
+directly and release each block-sized array once it is no longer read.
+Every sum of their terms is correctly rounded, from one error-free extraction
 (:func:`_level_sums`): exact level sums of the terms with one sigma per
 call, by group in any grouping.  A whole array's level sums are its exact
 parts (:func:`_exact_parts`), rounded once by ``math.fsum``
@@ -71,26 +72,38 @@ def _jaccard(xm: np.ndarray, ym: np.ndarray, inter: np.ndarray) -> np.ndarray:
     return shared / (np.bitwise_count(xm)[:, None] + np.bitwise_count(ym) - shared)
 
 
+def _cycled(values: np.ndarray, rows: int) -> np.ndarray:
+    """A ``rows`` x n view whose row d is ``values`` rotated left by d:
+    entry [d, i] is values[(i + d) mod n], for rows <= n + 1.  It strides
+    over one copy of the array repeated twice, so no entry is copied per
+    row; rows overlap in memory, so the view is only read."""
+    twice = np.concatenate((values, values))
+    step = twice.itemsize
+    return np.ndarray((rows, len(values)), twice.dtype, twice, 0, (step, step))
+
+
 def _self_terms(x: _Focal) -> np.ndarray:
     """The terms of the Jaccard self-form, the sum of J(A, B) * (wA * wB)
-    over all ordered focal pairs of ``x``, formed from the upper triangle:
-    their exact sum is the full square's.
+    over all ordered focal pairs of ``x``, as an (n // 2 + 1) x n block of
+    cyclic diagonals whose exact sum is the full square's.
 
-    J(A, A) = 1, so the diagonal terms are wA * wA.  An off-diagonal term is
-    formed as J(A, B) * (wA * wB), with J the float64 quotient of the
-    popcounts of A & B and A | B as in :func:`_jaccard`, and is bit-equal to
-    its mirror image, so it enters once, doubled, which is exact; pairs with
-    an empty intersection give exact zeros and are skipped.
+    Row d pairs each focal set A_i with A_(i + d mod n), and its terms are
+    J(A, B) * (wA * wB), with J the float64 quotient of the popcounts of
+    A & B and A | B as in :func:`_jaccard`.  Row 0 is the diagonal, where
+    J = 1 exactly.  A term is bit-equal to its mirror image, and every
+    unordered pair at cyclic distance d < n / 2 lies once in row d, so rows
+    1 .. (n - 1) // 2 are doubled, which is exact; for even n, row n / 2
+    holds each of its pairs in both orders and is not.  Pairs with an empty
+    intersection give exact zeros.
     """
     m, w = x
-    rows = np.arange(len(m))
-    nonzero = np.bitwise_and.outer(m, m) != 0
-    i, j = np.divmod((nonzero & (rows[:, None] < rows)).ravel().nonzero()[0], len(m))
-    a, b = m[i], m[j]
-    weighted = np.bitwise_count(a & b) / np.bitwise_count(a | b)
-    weighted *= w[i] * w[j]
-    weighted *= 2.0
-    return np.concatenate((w * w, weighted))
+    n = len(m)
+    rows = n // 2 + 1
+    turned = _cycled(m, rows)
+    terms = np.bitwise_count(turned & m) / np.bitwise_count(turned | m)
+    terms *= _cycled(w, rows) * w
+    terms[1 : (n + 1) // 2] *= 2.0
+    return terms
 
 
 def _level_sums(terms: np.ndarray, largest: int, reduce) -> np.ndarray | None:
@@ -230,12 +243,14 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     """
     frame = require_same_frame(m1, m2)
     inter, prod = (block.ravel() for block in _pair_terms(m1.arrays, m2.arrays))
-    # index arrays rather than boolean masks: numpy gathers by them faster
-    disjoint = inter == 0
-    k = _fsum(prod[np.flatnonzero(disjoint)])
-    meets = np.flatnonzero(~disjoint)
-    order = meets[np.argsort(inter[meets])]  # only the intersecting pairs
-    keys, values = inter[order], prod[order]
+    meets = inter != 0
+    conflicting = prod.compress(~meets)
+    keys, values = inter.compress(meets), prod.compress(meets)
+    del inter, prod, meets  # both blocks go before the sums and the sort
+    k = _fsum(conflicting)
+    order = np.argsort(keys)  # only the intersecting pairs
+    keys, values = keys[order], values[order]
+    del conflicting, order
     if not len(keys):  # every pair is disjoint: no group to sum
         raise TotalConflictError(k)
     starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))

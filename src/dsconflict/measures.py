@@ -5,8 +5,9 @@ same frame.  Everything that only depends on focal elements is evaluated
 sparsely over ``uint64`` mask and ``float64`` mass arrays, built once per
 call.  k, the correlation degrees c12, c11 and c22 and the d_BBA quadratic
 form on m1 - m2 come from :class:`_PairForms`, which forms the focal-pair
-blocks of a pair once: the self triangles of the sets focal in one BPA only
-(:func:`fusion._self_terms`) and one cross block of m1's sets against m2's.
+blocks of a pair once: the self-forms of the sets focal in one BPA only, by
+cyclic diagonals (:func:`fusion._self_terms`), and one cross block of m1's
+sets against m2's, released once the parts still read are taken.
 Each result is the correctly rounded sum of an exact multiset of terms,
 :func:`fusion._fsum` of the exact parts of its blocks, which is
 ``math.fsum``'s float: bit-identical to a per-pair loop over the full
@@ -79,12 +80,12 @@ CLAMP_TOL = 1e-12
 
 #: conflict_report computes ``cor`` only up to this frame size, although
 #: song_cor itself works on any frame.  On 30-63 hypotheses with 100-200 focal
-#: sets per BPA, cor costs about 1.5 to 2 times the rest of the report plus a
-#: combination (3.0-4.7 ms against 2.0-2.4 ms per pair; means over the 13
-#: pairs of each of 3 seeds of the best of 9, the two timed in turn, 2-core
-#: x86-64 host), so it would more than double the cost of a report, and stays
-#: out of the report until a kernel fused with the focal-pair terms pays for
-#: it.
+#: sets per BPA, cor costs about 2.1 to 2.4 times a report plus a combination
+#: (4.8-5.5 ms against 2.3 ms per pair; means over the 13 pairs of each of 3
+#: seeds of the best of 9, the two timed in turn, in the quietest of four
+#: runs on a 2-core x86-64 host), so it would more than triple the cost of a
+#: report, and stays out of the report until a kernel fused with the
+#: focal-pair terms pays for it.
 SONG_COR_MAX_FRAME = 24
 
 #: gram_positive_definite checks frames up to this size.  Its time grows
@@ -135,10 +136,14 @@ class _PairForms:
     :attr:`MassFunction.arrays` holds them.  The focal sets split into those
     focal in m1 only (Xo), in both (S) and in m2 only (Yo), by a merge of
     the two mask arrays.  m1's sets are laid out as [Xo | S] and m2's as
-    [S | Yo].  Three blocks are formed: the self triangles of Xo and of Yo
-    (:func:`fusion._self_terms`), and the cross block of m1's sets against
-    m2's, which holds every other pair.  No Jaccard ratio is formed twice
-    for the same ordered pair.  c11, c22 and the quadratic form take one
+    [S | Yo].  Three blocks are formed: the self-forms of Xo and of Yo, by
+    cyclic diagonals (:func:`fusion._self_terms`), and the cross block of
+    m1's Jaccard ratios against m2's, which holds every other pair.  No
+    Jaccard ratio is formed twice for the same ordered pair.  Of the cross
+    block only what is read again is kept: its strips on S, [Xo | S] x S
+    and S x Yo, a mask of its disjoint pairs, for k, and the exact parts of
+    Xo x Yo, which are weighted in the block itself; the block is released
+    with the constructor.  c11, c22 and the quadratic form take one
     mirror rule: a term on (A, B) is bit-equal to its term on (B, A).  So
     S x S, which holds both images, is summed in full, and Xo x S and
     S x Yo, which hold one, are doubled after their products are rounded,
@@ -173,31 +178,34 @@ class _PairForms:
         self.y = masks[a:], np.concatenate((yw[in_y], yw[~in_y]))
         self.a, self.s = a, s
         (xm, xw), (ym, yw) = self.x, self.y
-        self.jaccard = _jaccard(xm, ym, np.bitwise_and.outer(xm, ym))
         self.xo = _exact_parts(_self_terms((masks[:a], xw[:a])))
         self.yo = _exact_parts(_self_terms((masks[a + s :], yw[s:])))
-        xy = np.multiply.outer(xw[:a], yw[s:])
-        xy *= self.jaccard[:a, s:]
+        jaccard = _jaccard(xm, ym, np.bitwise_and.outer(xm, ym))
+        self.disjoint = jaccard == 0.0  # for k
+        # the ratios on the pairs with a set of S: [Xo | S] x S and S x Yo
+        self.s_cols, self.s_rows = jaccard[:, :s].copy(), jaccard[a:, s:].copy()
+        xy = jaccard[:a, s:]  # the block's last use: weighted in place
+        xy *= np.multiply.outer(xw[:a], yw[s:])
         self.xy = _exact_parts(xy)
 
     def conflict(self) -> float:
         """k: the products on disjoint pairs."""
         prod = np.multiply.outer(self.x[1], self.y[1]).ravel()
-        return _fsum(prod.compress(self.jaccard.ravel() == 0.0))
+        return _fsum(prod.compress(self.disjoint.ravel()))
 
     def degrees(self) -> tuple[float, float, float]:
         """c12, c11 and c22."""
-        a, s, jaccard = self.a, self.s, self.jaccard
+        a, s, cols, rows = self.a, self.s, self.s_cols, self.s_rows
         (_, xw), (_, yw) = self.x, self.y
         xs, ys = xw[a:], yw[:s]
         c12 = (
             self.xy,
-            (jaccard[:, :s] * np.multiply.outer(xw, ys)).ravel(),
-            (jaccard[a:, s:] * np.multiply.outer(xs, yw[s:])).ravel(),
+            (cols * np.multiply.outer(xw, ys)).ravel(),
+            (rows * np.multiply.outer(xs, yw[s:])).ravel(),
         )
-        c11 = jaccard[:, :s] * np.multiply.outer(xw, xs)
+        c11 = cols * np.multiply.outer(xw, xs)
         c11[:a] *= 2.0  # Xo x S
-        c22 = jaccard[a:] * np.multiply.outer(ys, yw)
+        c22 = np.concatenate((cols[a:], rows), axis=1) * np.multiply.outer(ys, yw)
         c22[:, s:] *= 2.0  # S x Yo
         return (
             _fsum(np.concatenate(c12)),
@@ -207,14 +215,14 @@ class _PairForms:
 
     def quad(self) -> float:
         """The Jousselme quadratic form on d = m1 - m2."""
-        a, s, jaccard = self.a, self.s, self.jaccard
+        a, s = self.a, self.s
         (_, xw), (_, yw) = self.x, self.y
         d = xw[a:] - yw[:s]  # on S; d = m1 on Xo and -m2 on Yo
         rows = np.multiply.outer(np.concatenate((xw[:a], d)), d)  # [Xo | S] x S
-        rows *= jaccard[:, :s]
+        rows *= self.s_cols
         rows[:a] *= 2.0  # Xo x S
         yo = np.multiply.outer(d, -yw[s:])  # S x Yo
-        yo *= jaccard[a:, s:]
+        yo *= self.s_rows
         yo *= 2.0
         return _fsum(
             np.concatenate((self.xo, self.yo, -2.0 * self.xy, rows.ravel(), yo.ravel()))

@@ -321,16 +321,18 @@ class TestSparseReference:
 
 
 @st.composite
-def signed_supports(draw):
+def signed_supports(draw, sizes=st.integers(0, 40)):
     """Masks with signed weights that share one scale, from 1 down to about
     2^-560, so that at the small end every product of two weights is
     subnormal or underflows, and so is the sum; masks are biased to the top
-    bit of the frame, bit 62 at N = 63."""
-    n = draw(st.integers(1, 63) | st.just(63))
+    bit of the frame, bit 62 at N = 63.  ``sizes`` draws the mask count."""
+    count = draw(sizes)
+    n = draw(st.integers(max(1, count.bit_length()), 63) | st.just(63))
     full, top = (1 << n) - 1, 1 << (n - 1)
     masks = draw(st.lists(
         st.integers(1, full) | st.integers(0, full >> 1).map(lambda m: m | top),
-        max_size=40,
+        min_size=count,
+        max_size=count,
         unique=True,
     ))
     scale = draw(st.integers(-560, 0) | st.integers(-540, -525))
@@ -367,8 +369,26 @@ def full_square(x) -> float:
 
 
 def _self_form(x) -> float:
-    """The self-form from the upper-triangle terms."""
+    """The self-form from the cyclic-diagonal terms."""
     return _fsum(_self_terms(x))
+
+
+def _middle_doubled(x) -> float:
+    """A broken self-form for the negative control: row n / 2 of an even n,
+    which holds each of its pairs in both orders, doubled all the same."""
+    terms = _self_terms(x)
+    n = len(x[0])
+    if n and n % 2 == 0:
+        terms[n // 2] *= 2.0
+    return _fsum(terms)
+
+
+def top_bit_support(n: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """n masks that all hold bit 62, so every pair meets, with weights of
+    alternating sign at 2^scale."""
+    masks = [1 << 62 | (0b1011 << i) for i in range(n)]
+    weights = [math.ldexp((-1) ** i * (0.5 + i / 16), scale) for i in range(n)]
+    return np.array(masks, np.uint64), np.array(weights, np.float64)
 
 
 def merged_support_form(x, y) -> float:
@@ -402,7 +422,7 @@ def dense_bpa(rng: random.Random, frame: ds.Frame, count: int) -> ds.MassFunctio
 
 
 class TestSelfForm:
-    """The upper-triangle self-form equals the full-square sum exactly."""
+    """The cyclic-diagonal self-form equals the full-square sum exactly."""
 
     @given(wide_pairs())
     def test_equals_full_square_on_differences(self, pair):
@@ -418,6 +438,26 @@ class TestSelfForm:
     @given(signed_supports())
     def test_equals_full_square_on_signed_weights(self, x):
         assert _self_form(x) == full_square(x)
+
+    @pytest.mark.parametrize("n", range(7))
+    @given(data=st.data())
+    def test_every_small_size(self, n, data):
+        # odd and even n: row n / 2 is in the layout only for even n
+        x = data.draw(signed_supports(st.just(n)))
+        assert _self_form(x) == full_square(x)
+
+    @pytest.mark.parametrize("scale", [0, -530, -1060])
+    @pytest.mark.parametrize("n", range(7))
+    def test_top_bit_signed_and_subnormal(self, n, scale):
+        x = top_bit_support(n, scale)
+        assert _self_form(x) == full_square(x)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_doubled_middle_row_is_caught(self, n):
+        # the negative control: every pair meets, so row n / 2 is nonzero
+        x = top_bit_support(n, 0)
+        assert _self_form(x) == full_square(x)
+        assert _middle_doubled(x) != full_square(x)
 
     def test_empty_support_is_zero(self):
         empty = (np.zeros(0, np.uint64), np.zeros(0))
