@@ -158,6 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH",
                        help="write the result to PATH instead of stdout")
 
+    def add_pair(p: argparse.ArgumentParser, verb: str) -> None:
+        names = p.add_mutually_exclusive_group(required=True)
+        names.add_argument("--pair", nargs=2, metavar="NAME",
+                           help=f"names of the two BPAs to {verb}")
+        # a value that begins with "-" reads as an option unless it is joined
+        # to its option by "=", which only a single-valued option allows
+        names.add_argument("--bpa", action="append", dest="pair", metavar="NAME",
+                           help="one BPA name, given twice in place of --pair; "
+                                "--bpa=NAME takes any name, one beginning with "
+                                "'-' too")
+        p.set_defaults(parser=p)
+
     def add_precision(p: argparse.ArgumentParser) -> None:
         p.add_argument("--precision", type=_digits, default=4, metavar="DIGITS",
                        help="decimal digits in rendered values, 0 to "
@@ -168,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     measure.add_argument("--input", required=True, metavar="PATH",
                          help="BPA document to read")
-    measure.add_argument("--pair", required=True, nargs=2, metavar="NAME",
-                         help="names of the two BPAs to compare")
+    add_pair(measure, "compare")
     measure.add_argument("--epsilon", type=float, metavar="E",
                          help="threshold for Liu's two-dimensional model")
     add_output(measure)
@@ -181,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     combine.add_argument("--input", required=True, metavar="PATH",
                          help="BPA document to read")
-    combine.add_argument("--pair", required=True, nargs=2, metavar="NAME",
-                         help="names of the two BPAs to combine")
+    add_pair(combine, "combine")
     add_output(combine)
     add_precision(combine)
     combine.set_defaults(handler=_cmd_combine)
@@ -211,6 +221,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        pair = getattr(args, "pair", None)  # measure and combine
+        if pair is not None:
+            if len(pair) != 2:
+                args.parser.error("expected --bpa twice, once for each BPA")
+            # argparse strips a value of "--" (Python 3.11 does), so
+            # --bpa=-- reads as an empty list: that name can only be "--"
+            args.pair = [n if isinstance(n, str) else "--" for n in pair]
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else EXIT_OK

@@ -22,11 +22,12 @@ to its position.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
-import tempfile
+import stat
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, KeysView, Mapping
 
 from .core import Frame, MassFunction, _bpa_from_masks, make_frame
 from .core import make_bpa  # noqa: F401  wrapped by perfbench/spans.py when tracing
@@ -73,9 +74,23 @@ class _Repeated(dict):
     it, so that the error names its position."""
 
 
-def _object(pairs: list[tuple[str, object]]) -> dict:
+def _object(canon: dict, pairs: list[tuple[str, object]]) -> dict:
     """``json``'s hook for every object: a dict, a :class:`_Repeated` one if
-    a key repeats (``json`` alone keeps the last value)."""
+    a key repeats (``json`` alone keeps the last value).
+
+    ``json`` makes a new ``str`` for every string that is not a key, so each
+    array among the values is rewritten to hold one object per distinct
+    member, the first one ``canon`` (one dict per document) saw: the decoded
+    tree then costs a reference, not a string, per label.  A member that is
+    no string may become an equal one (``1`` for ``true``), and an array
+    with an unhashable member is left as decoded: the layout checks refuse
+    all of these alike, without naming the value."""
+    for _, item in pairs:
+        if type(item) is list:
+            try:
+                item[:] = map(canon.setdefault, item, item)
+            except TypeError:
+                pass
     value = dict(pairs)
     if len(value) < len(pairs):
         keys = [k for k, _ in pairs]
@@ -84,12 +99,18 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
     return value
 
 
-def _require_object(value: object, where: str, keys: tuple[str, ...]) -> dict:
+# The keys of each kind of object, in the order messages list them.
+_ROOT_KEYS = {"frame": None, "bpas": None}.keys()
+_BPA_KEYS = {"name": None, "masses": None}.keys()
+_ENTRY_KEYS = {"set": None, "mass": None}.keys()
+
+
+def _require_object(value: object, where: str, keys: KeysView[str]) -> dict:
     _require(isinstance(value, dict), where, "expected an object")
     assert isinstance(value, dict)
     if isinstance(value, _Repeated):
         raise DocumentError(where, f"duplicate key {value.key!r}")
-    if value.keys() != set(keys):  # the loops only say what is wrong
+    if value.keys() != keys:  # the loops only say what is wrong
         for key in value:
             _require(
                 key in keys,
@@ -133,49 +154,60 @@ def _parse_frame(value: object) -> Frame:
 
 
 def _parse_bpa(frame: Frame, value: object, where: str) -> tuple[str, MassFunction]:
-    entry = _require_object(value, where, ("name", "masses"))
+    entry = _require_object(value, where, _BPA_KEYS)
     name = _require_string(entry["name"], f"{where}.name")
     items = _require_list(entry["masses"], f"{where}.masses")
-    # The frame and the core check each entry as it is drawn, so ``spot``
-    # names the entry they reject, or the whole list once all are drawn.
-    spot = f"{where}.masses"
+    # The frame and the core check each entry as it is drawn, so ``spot()``
+    # names the entry they reject, or the whole list once all are drawn.  It
+    # is formatted only for an error: a valid entry costs no string.
+    drawn: int | None = None
+
+    def spot() -> str:
+        return f"{where}.masses" if drawn is None else f"{where}.masses[{drawn}]"
 
     def masks_and_masses() -> Iterator[tuple[int, object]]:
-        nonlocal spot
-        for j, item in enumerate(items):
-            spot = f"{where}.masses[{j}]"
-            record = _require_object(item, spot, ("set", "mass"))
-            members = _require_list(record["set"], f"{spot}.set")
+        nonlocal drawn
+        for drawn, item in enumerate(items):
+            if not (
+                type(item) is dict
+                and item.keys() == _ENTRY_KEYS
+                and type(item["set"]) is list
+            ):  # the checks below only say what is wrong
+                record = _require_object(item, spot(), _ENTRY_KEYS)
+                _require_list(record["set"], f"{spot()}.set")
+            members = item["set"]
             try:
                 mask = frame.subset(members)
             except UnknownLabelError as exc:
                 for p, label in enumerate(members):  # name a malformed member
-                    _require_string(label, f"{spot}.set[{p}]")
-                raise DocumentError(f"{spot}.set", str(exc)) from exc
-            yield mask, record["mass"]
-        spot = f"{where}.masses"
+                    _require_string(label, f"{spot()}.set[{p}]")
+                raise DocumentError(f"{spot()}.set", str(exc)) from exc
+            yield mask, item["mass"]
+        drawn = None
 
     try:
         return name, _bpa_from_masks(frame, masks_and_masses())
     except NegativeMassError as exc:
-        raise DocumentError(f"{spot}.mass", str(exc)) from exc
+        raise DocumentError(f"{spot()}.mass", str(exc)) from exc
     except EmptySetMassError as exc:
-        raise DocumentError(f"{spot}.set", str(exc)) from exc
+        raise DocumentError(f"{spot()}.set", str(exc)) from exc
     except UnnormalizedMassError as exc:
-        raise DocumentError(spot, f"BPA {name!r}: {exc}") from exc
+        raise DocumentError(spot(), f"BPA {name!r}: {exc}") from exc
 
 
 def loads(text: str) -> BpaDocument:
     """Parse a BPA document from JSON text."""
     try:
-        payload = json.loads(text, object_pairs_hook=_object)
+        payload = json.loads(
+            text, object_pairs_hook=functools.partial(_object, {})
+        )
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
         raise DocumentError("", f"invalid JSON: {exc}") from exc
-    root = _require_object(payload, "", ("frame", "bpas"))
+    root = _require_object(payload, "", _ROOT_KEYS)
     frame = _parse_frame(root["frame"])
     entries = _require_list(root["bpas"], "bpas")
     bpas: dict[str, MassFunction] = {}
@@ -230,18 +262,24 @@ def dump(document: BpaDocument, path: str | os.PathLike[str]) -> None:
 
 def _write_atomic(path: str | os.PathLike[str], text: str) -> None:
     """Write ``text`` to ``path`` through a temp file in the same directory
-    and a rename, so readers never see a partly written file.  On failure
-    the temp file is removed and the :class:`OSError` names ``path``
-    (``PATH: cannot write: Is a directory``); the cause keeps the original
-    error."""
+    and a rename, so readers never see a partly written file.  A new file
+    gets the mode ``open(path, "w")`` would give it, a replaced file keeps
+    its own.  On failure the temp file is removed and the :class:`OSError`
+    names ``path`` (``PATH: cannot write: Is a directory``); the cause keeps
+    the original error."""
     target = os.fspath(path)
+    tmp = os.path.join(
+        os.path.dirname(target) or ".", f".dsconflict-{os.urandom(8).hex()}"
+    )
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(target) or ".", prefix=".dsconflict-"
-        )
+        # O_EXCL never opens a file (or link) that exists; 0o666 less the
+        # umask is open()'s mode
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
+            with contextlib.suppress(FileNotFoundError):  # else a new file
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 #: Combination is refused when the non-conflicting mass, the correctly
-#: rounded sum of every product on a nonempty intersection, is this small.
+#: rounded sum of the groups on nonempty intersections (each group's sum of
+#: products already correctly rounded), is this small.
 TOTAL_CONFLICT_TOL = 1e-12
 
 #: Focal elements as parallel arrays: uint64 masks and float64 weights.
@@ -236,10 +237,12 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     ascending group keys.
     When the inputs sum to 1 only within :data:`MASS_SUM_ACCEPT_TOL` and
     high conflict would carry that result off 1, they are divided instead by
-    their own correctly rounded total, the non-conflicting mass actually
-    summed.  Raises :class:`TotalConflictError` when the evidence is totally
-    (or numerically indistinguishably from totally) conflicting, i.e. when
-    that total is at most :data:`TOTAL_CONFLICT_TOL`.
+    their own total, the non-conflicting mass actually summed.  That total
+    is the correctly rounded sum of the rounded group sums, which can differ
+    in its last bits from the correctly rounded sum of every product on a
+    nonempty set.  Raises :class:`TotalConflictError` when the evidence is
+    totally (or numerically indistinguishably from totally) conflicting,
+    i.e. when that total is at most :data:`TOTAL_CONFLICT_TOL`.
     """
     frame = require_same_frame(m1, m2)
     inter, prod = (block.ravel() for block in _pair_terms(m1.arrays, m2.arrays))

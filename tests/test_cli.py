@@ -320,6 +320,40 @@ def rendered_values(command: str, result) -> list[str]:
     return re.findall(r"\d+\.\d+", text)
 
 
+class TestDashedNames:
+    """``--bpa=NAME``, given twice, names BPAs that ``--pair`` cannot."""
+
+    @pytest.fixture
+    def dashed(self, tmp_path):
+        doc = document.loads(EXAMPLE1_BYTES.decode())
+        path = tmp_path / "dash.json"
+        renamed = {"-m": doc.bpa("m1"), "--": doc.bpa("m2")}
+        document.dump(ds.BpaDocument(doc.frame, renamed), path)
+        return str(path)
+
+    def test_measure_and_combine(self, dashed):
+        result = run_cli("measure", "--input", dashed, "--bpa=-m", "--bpa=--")
+        assert result.returncode == 0, result.stderr
+        pair = run_cli("measure", "--input", str(DATA / "example1.json"),
+                       "--pair", "m1", "m2")
+        assert result.stdout == pair.stdout.replace("(m1, m2)", "(-m, --)")
+        result = run_cli("combine", "--input", dashed, "--bpa=-m", "--bpa=--")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["bpas"][0]["name"] == "-m+--"
+
+    @pytest.mark.parametrize("names", [
+        ["--pair", "-m", "-m"],
+        ["--bpa=-m"],
+        ["--bpa=-m", "--bpa=-m", "--bpa=-m"],
+        ["--pair", "m1", "m2", "--bpa=-m"],
+    ], ids=["pair", "one", "three", "both"])
+    def test_usage_errors(self, dashed, names):
+        result = run_cli("measure", "--input", dashed, *names)
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage: dsconflict measure")
+        assert "Traceback" not in result.stderr
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert run_cli().returncode == 1

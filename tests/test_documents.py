@@ -1,7 +1,9 @@
 """BPA document parsing, positioned errors, serialization."""
 
 import json
+import os
 import pathlib
+import stat
 
 import pytest
 
@@ -121,10 +123,24 @@ class TestLoads:
                 '[{"name": "m", "masses": [{"set": "A1", "mass": 1.0}]}]}')
         assert where_of(document.loads, text) == "bpas[0].masses[0].set"
 
-    def test_set_member_not_string(self):
+    @pytest.mark.parametrize(
+        "members, p",
+        [
+            ('[3]', 0),
+            # unhashable members: the decoder leaves such arrays as they are
+            ('[["A1"]]', 0),
+            ('["A1", {}]', 1),
+            ('["A1", 1, true]', 1),
+        ],
+        ids=["number", "array", "object", "number-and-bool"],
+    )
+    def test_set_member_not_string(self, members, p):
         text = ('{"frame": ["A1"], "bpas": '
-                '[{"name": "m", "masses": [{"set": [3], "mass": 1.0}]}]}')
-        assert where_of(document.loads, text) == "bpas[0].masses[0].set[0]"
+                f'[{{"name": "m", "masses": [{{"set": {members}, "mass": 1.0}}]}}]}}')
+        with pytest.raises(ds.DocumentError) as info:
+            document.loads(text)
+        assert info.value.where == f"bpas[0].masses[0].set[{p}]"
+        assert info.value.message == "expected a non-empty string"
 
     def test_unknown_label_position(self):
         text = ('{"frame": ["A1"], "bpas": '
@@ -241,3 +257,24 @@ class TestDumps:
         )
         # no stray temp files left behind
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+    def test_dump_keeps_file_modes(self, tmp_path, umask):
+        """A new file gets the mode ``open()`` gives under the umask, and a
+        replaced file keeps its own."""
+        doc = document.loads(GOOD)
+        opened, new, kept = (tmp_path / n for n in ("opened", "new.json", "kept.json"))
+        kept.write_text("{}")
+        kept.chmod(0o640)
+        old = os.umask(umask)
+        try:
+            with open(opened, "w"):
+                pass
+            document.dump(doc, new)
+            document.dump(doc, kept)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert new.stat().st_mode == opened.stat().st_mode
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert document.load(kept).names == doc.names

@@ -1,5 +1,6 @@
 """Working memory of the focal-pair kernels, in blocks of 8 * |m1| * |m2|
-bytes: one float64 (or uint64) array over every focal pair.
+bytes: one float64 (or uint64) array over every focal pair, and of document
+decoding, in bytes of JSON text.
 
 numpy reports its array buffers to ``tracemalloc``, so the traced peak of
 one call counts the block-sized arrays that it holds at once.  Each bound
@@ -56,3 +57,21 @@ def peak_blocks(call, m1, m2) -> float:
 def test_peak_within_bound(dense_pair, name):
     call, bound = BOUNDS[name]
     assert peak_blocks(call, *dense_pair) <= bound
+
+
+def test_decode_peak_within_bound():
+    """``loads`` holds one string object per distinct label, not one per
+    occurrence: its peak on a dense document is about 3.3 times the text,
+    and a string per occurrence reaches about 8.4."""
+    rng = random.Random(21)
+    frame = ds.make_frame(LABEL_POOL[:63])
+    bpas = {f"m{i}": dense_bpa(rng, frame, 150) for i in range(8)}
+    text = ds.dumps_document(ds.BpaDocument(frame, bpas))
+    ds.loads_document(text)  # warm, as in peak_blocks
+    tracemalloc.start()
+    try:
+        ds.loads_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)

@@ -1117,6 +1117,72 @@ class TestValidationNeverEscapes:
             _assert_valid(m)
 
 
+
+@st.composite
+def _decode_documents(draw):
+    """The JSON text of a document with a valid frame and layout whose labels
+    repeat within and across sets; in half of them a set member may also be
+    any JSON value (unknown, empty, not a string, unhashable)."""
+    labels = draw(
+        st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=6, unique=True)
+    )
+    member = st.sampled_from(labels)
+    if draw(st.booleans()):
+        member = _mostly(member, st.text(max_size=3) | _JSON)
+    bpas = []
+    for i in range(draw(st.integers(1, 3))):
+        sets = draw(st.lists(st.lists(member, min_size=1, max_size=4), min_size=1, max_size=5))
+        weights = draw(st.lists(st.integers(1, 99), min_size=len(sets), max_size=len(sets)))
+        total = float(sum(weights))
+        bpas.append({
+            "name": f"m{i}",
+            "masses": [{"set": s, "mass": w / total} for s, w in zip(sets, weights)],
+        })
+    return json.dumps({"frame": labels, "bpas": bpas})
+
+
+def _plain_load(text: str):
+    """``loads`` written from plain ``json.loads`` and ``make_bpa``, for the
+    documents of :func:`_decode_documents`: the BPAs by name, or the position
+    and message of the first malformed set."""
+    payload = json.loads(text)
+    frame = ds.make_frame(payload["frame"])
+    bpas = {}
+    for i, bpa in enumerate(payload["bpas"]):
+        for j, entry in enumerate(bpa["masses"]):
+            where = f"bpas[{i}].masses[{j}].set"
+            for p, member in enumerate(entry["set"]):
+                if not (isinstance(member, str) and member):
+                    return f"{where}[{p}]", "expected a non-empty string"
+            try:
+                frame.subset(entry["set"])
+            except ds.UnknownLabelError as exc:
+                return where, str(exc)
+        bpas[bpa["name"]] = ds.make_bpa(
+            frame, [(entry["set"], entry["mass"]) for entry in bpa["masses"]]
+        )
+    return bpas
+
+
+class TestDocumentDecode:
+    """Sharing one string object per distinct label while decoding changes
+    nothing ``loads`` returns or reports."""
+
+    @given(_decode_documents())
+    def test_loads_matches_plain_decode(self, text):
+        want = _plain_load(text)
+        try:
+            got = ds.loads_document(text)
+        except ds.DocumentError as exc:
+            assert (exc.where, exc.message) == want
+            return
+        assert isinstance(want, dict), want
+        assert got.frame.labels == tuple(json.loads(text)["frame"])
+        assert list(got.bpas) == list(want)
+        for name, bpa in got.bpas.items():
+            for a, b in zip(bpa.arrays, want[name].arrays):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 def _numbers(lo: int, hi: int):
     """An option value: mostly an integer in [lo, hi], else one far beyond
     every cap or text that is no integer at all (``int`` also reads "5_0"
@@ -1135,23 +1201,35 @@ def _numbers(lo: int, hi: int):
     )
 
 
-_NAMES = _mostly(st.sampled_from(["m1", "m2"]), st.just("m3") | st.text(max_size=3))
+#: BPA names, any of which a document may hold: some begin with "-", some
+#: look like an option or hold "="
+_ANY_NAMES = st.text(min_size=1, max_size=3) | st.tuples(
+    st.sampled_from(["-", "--", "-m=", "--pair"]), st.text(max_size=3)
+).map("".join)
+_NAMES = _mostly(st.sampled_from(["m1", "m2"]), st.sampled_from(["m3", ""]) | _ANY_NAMES)
+
+#: the tokens that name two BPAs: ``--pair A B``, or ``--bpa=A --bpa=B``
+#: (with "=", which takes a name that begins with "-")
+_PAIR = st.tuples(_NAMES, _NAMES).flatmap(
+    lambda p: st.sampled_from([("--pair", *p), tuple(f"--bpa={n}" for n in p)])
+)
 
 
 #: the document's path, under a directory each example makes
 _INPUT = st.just(PurePath("input.json"))
 
-#: each command's options and their values, a tuple for --pair's two
+#: each command's options and their values, a tuple for the whole tokens
+#: of a pair of names
 _OPTIONS = {
     "measure": {
-        "--input": _INPUT, "--pair": st.tuples(_NAMES, _NAMES),
+        "--input": _INPUT, "--pair": _PAIR,
         "--epsilon": _mostly(
             st.floats(0, 1).map(repr), st.floats().map(repr) | st.text(max_size=6)
         ),
         "--precision": _numbers(-1, 18),
     },
     "combine": {
-        "--input": _INPUT, "--pair": st.tuples(_NAMES, _NAMES),
+        "--input": _INPUT, "--pair": _PAIR,
         "--precision": _numbers(-1, 18),
     },
     "sweep": {"--frame-size": _numbers(-2, 70), "--precision": _numbers(-1, 18)},
@@ -1177,7 +1255,7 @@ def cli_calls(draw):
     for option, values in _OPTIONS[command].items():
         if draw(st.integers(0, 7)):  # mostly present
             value = draw(values)
-            argv += [option, *(value if isinstance(value, tuple) else [value])]
+            argv += value if isinstance(value, tuple) else (option, value)
     output = draw(st.sampled_from([None, None, "out.txt", "missing/out.txt", "."]))
     if output is not None:
         argv += ["--output", PurePath(output)]
@@ -1215,6 +1293,24 @@ class TestCliBoundary:
             assert ": error: " in lines[-1]
         elif code in (2, 3):
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @given(st.sampled_from(["measure", "combine"]), _ANY_NAMES, single_bpas())
+    def test_every_name_reachable(self, command, name, m):
+        """``--bpa=NAME`` reaches every name a document may hold."""
+        text = ds.dumps_document(ds.BpaDocument(m.frame, {name: m, f"{name}2": m}))
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "input.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            argv = [command, "--input", path, f"--bpa={name}", f"--bpa={name}2"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+        assert code == 0, err.getvalue()
+        if command == "measure":
+            assert out.getvalue().startswith(f"pair ({name}, {name}2)\n")
+        else:
+            assert ds.loads_document(out.getvalue()).names == (f"{name}+{name}2",)
 
 
 @st.composite
