@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="one BPA name, given twice in place of --pair; "
                                 "--bpa=NAME takes any name, one beginning with "
                                 "'-' too")
-        p.set_defaults(parser=p)
 
     def add_precision(p: argparse.ArgumentParser) -> None:
         p.add_argument("--precision", type=_digits, default=4, metavar="DIGITS",
@@ -214,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(gram)
     gram.set_defaults(handler=_cmd_gram_check)
 
+    for p in commands.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -221,12 +222,20 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse strips a value of "--" (Python 3.11 does), so --opt=--
+        # reads as an empty list: that value can only be "--"
+        for action in args.parser._actions:
+            if action.nargs is None and getattr(args, action.dest, None) == []:
+                try:  # the option's type, as argparse applies it
+                    value = args.parser._get_value(action, "--")
+                except argparse.ArgumentError as exc:
+                    args.parser.error(str(exc))
+                setattr(args, action.dest, value)
         pair = getattr(args, "pair", None)  # measure and combine
         if pair is not None:
             if len(pair) != 2:
                 args.parser.error("expected --bpa twice, once for each BPA")
-            # argparse strips a value of "--" (Python 3.11 does), so
-            # --bpa=-- reads as an empty list: that name can only be "--"
+            # each --bpa=-- appended an empty list likewise
             args.pair = [n if isinstance(n, str) else "--" for n in pair]
     except SystemExit as exc:
         code = exc.code

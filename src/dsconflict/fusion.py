@@ -89,19 +89,20 @@ def _self_terms(x: _Focal) -> np.ndarray:
     cyclic diagonals whose exact sum is the full square's.
 
     Row d pairs each focal set A_i with A_(i + d mod n), and its terms are
-    J(A, B) * (wA * wB), with J the float64 quotient of the popcounts of
-    A & B and A | B as in :func:`_jaccard`.  Row 0 is the diagonal, where
-    J = 1 exactly.  A term is bit-equal to its mirror image, and every
-    unordered pair at cyclic distance d < n / 2 lies once in row d, so rows
-    1 .. (n - 1) // 2 are doubled, which is exact; for even n, row n / 2
-    holds each of its pairs in both orders and is not.  Pairs with an empty
-    intersection give exact zeros.
+    J(A, B) * (wA * wB), with J the float64 quotient of |A & B| and
+    |A | B| = |A| + |B| - |A & B| as in :func:`_jaccard`.  Row 0 is the
+    diagonal, where J = 1 exactly.  A term is bit-equal to its mirror
+    image, and every unordered pair at cyclic distance d < n / 2 lies once
+    in row d, so rows 1 .. (n - 1) // 2 are doubled, which is exact; for
+    even n, row n / 2 holds each of its pairs in both orders and is not.
+    Pairs with an empty intersection give exact zeros.
     """
     m, w = x
     n = len(m)
     rows = n // 2 + 1
-    turned = _cycled(m, rows)
-    terms = np.bitwise_count(turned & m) / np.bitwise_count(turned | m)
+    sizes = np.bitwise_count(m)
+    shared = np.bitwise_count(_cycled(m, rows) & m)
+    terms = shared / (_cycled(sizes, rows) + sizes - shared)
     terms *= _cycled(w, rows) * w
     terms[1 : (n + 1) // 2] *= 2.0
     return terms

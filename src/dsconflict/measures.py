@@ -534,19 +534,14 @@ def _gram_blocks(n: int) -> list[list[list[int]]]:
         entry = sum_u C(n-2k, u-k) C(n-k-u, i-u) C(n-k-u, j-u) g(s, u),
         g(s, u) = sum_t (-1)^(u-t) C(u, t) L t / (s - t),
 
-    and L = lcm(1..2n) makes every division exact, as s - t <= 2n.  So g is
-    one O(n^3) table and the blocks take O(n^4) integer operations.
+    with L = lcm(1..2n).  g(s, u) is the u-th forward difference at t = 0 of
+    L t / (s - t) = L s / (s - t) - L, which is L / C(s - 1, u) for u >= 1
+    and 0 for u = 0 (u <= s // 2 < s here).  C(s - 1, u) divides lcm(1..s),
+    so every division is exact.  So g is one O(n^2) table and the blocks
+    take O(n^4) integer operations.
     """
-    scale = math.lcm(*range(1, 2 * n + 1))
     binom = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
-    # t <= u <= min(i, j) <= s // 2, so s - t >= 1 whenever s >= 2.
-    g = [[0] * (s // 2 + 1) for s in range(2 * n + 1)]
-    for s in range(2, 2 * n + 1):
-        w = [scale * t // (s - t) for t in range(s // 2 + 1)]
-        for u in range(1, s // 2 + 1):
-            g[s][u] = sum(
-                (-1) ** (u - t) * binom[u][t] * w[t] for t in range(1, u + 1)
-            )
+    g = _gram_differences(n)
     blocks = []
     for k in range(n // 2 + 1):
         rows = range(max(k, 1), n - k + 1)
@@ -566,6 +561,16 @@ def _gram_blocks(n: int) -> list[list[list[int]]]:
                 )
         blocks.append(block)
     return blocks
+
+
+def _gram_differences(n: int) -> list[list[int]]:
+    """The table g(s, u) = L / C(s - 1, u) of :func:`_gram_blocks`, with
+    g(s, 0) = 0, for s = 0..2n and u = 0..s // 2."""
+    scale = math.lcm(*range(1, 2 * n + 1))
+    return [
+        [0] + [scale // math.comb(s - 1, u) for u in range(1, s // 2 + 1)]
+        for s in range(2 * n + 1)
+    ]
 
 
 def _positive_definite(matrix: list[list[int]]) -> bool:

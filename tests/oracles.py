@@ -215,6 +215,20 @@ def gram_blocks_beta(n: int) -> list[list[list[Fraction]]]:
     return blocks
 
 
+def gram_differences(n: int) -> list[list[int]]:
+    """g(s, u) = sum_t (-1)^(u-t) C(u, t) L t / (s - t) for s = 0..2n and
+    u = 0..s // 2, L = lcm(1..2n), as the alternating sum itself: O(n^3)."""
+    scale = math.lcm(*range(1, 2 * n + 1))
+    g = [[0] * (s // 2 + 1) for s in range(2 * n + 1)]
+    for s in range(2, 2 * n + 1):
+        w = [scale * t // (s - t) for t in range(s // 2 + 1)]
+        for u in range(1, s // 2 + 1):
+            g[s][u] = sum(
+                (-1) ** (u - t) * math.comb(u, t) * w[t] for t in range(1, u + 1)
+            )
+    return g
+
+
 def leading_minors(matrix: list[list[int]]) -> list[Fraction]:
     """Every leading principal minor, each by its own elimination in fractions."""
     minors = []

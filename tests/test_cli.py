@@ -399,6 +399,34 @@ class TestUsageErrors:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2",
+          "--epsilon=--"], "--epsilon: invalid float value: '--'"),
+        (["measure", "--input", str(DATA / "example1.json"), "--pair", "m1", "m2",
+          "--precision=--"], "--precision: expected a nonnegative integer, got '--'"),
+        (["sweep", "--frame-size=--"], "--frame-size: invalid int value: '--'"),
+        (["gram-check", "--n=--"], "--n: invalid int value: '--'"),
+    ], ids=["epsilon", "precision", "frame-size", "n"])
+    def test_number_given_as_dashes(self, argv, message, capsys):
+        """argparse reads ``--opt=--`` as no value at all; a number option
+        takes it as the text "--" and refuses it as usage."""
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: dsconflict {argv[0]}")
+        assert err[-1] == f"dsconflict {argv[0]}: error: argument {message}"
+
+    def test_paths_given_as_dashes(self, tmp_path, monkeypatch, capsys):
+        """``--input=--`` and ``--output=--`` name a file called "--"."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "--").write_bytes(EXAMPLE1_BYTES)
+        assert cli.run(["measure", "--input=--", "--pair", "m1", "m2"]) == 0
+        shown = capsys.readouterr().out
+        assert shown.startswith("pair (m1, m2)\n")
+        assert cli.run(["measure", "--input=--", "--pair", "m1", "m2",
+                        "--output=--"]) == 0
+        assert (tmp_path / "--").read_text() == shown
+        assert capsys.readouterr().out == ""
+
     def test_help_exits_0(self):
         result = run_cli("--help")
         assert result.returncode == 0

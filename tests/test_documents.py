@@ -147,6 +147,63 @@ class TestLoads:
                 '[{"name": "m", "masses": [{"set": ["A9"], "mass": 1.0}]}]}')
         assert where_of(document.loads, text) == "bpas[0].masses[0].set"
 
+    @pytest.mark.parametrize(
+        "masses, where, message",
+        [
+            ('{"set": ["A1", "B2", "B3"], "mass": 1.0}',
+             "bpas[0].masses[0].set", "label 'B2' is not part of the frame"),
+            ('{"set": ["A1", "B2", 3], "mass": 1.0}',
+             "bpas[0].masses[0].set[2]", "expected a non-empty string"),
+            ('{"set": ["", "A1"], "mass": 1.0}',
+             "bpas[0].masses[0].set[0]", "expected a non-empty string"),
+            ('{"mass": 1.0, "set": ["A1", "B2"]}',
+             "bpas[0].masses[0].set", "label 'B2' is not part of the frame"),
+            ('{"set": ["A1"], "mass": 1.0}, {"mass": 0.5, "set": "A1"}',
+             "bpas[0].masses[1].set", "expected an array"),
+            ('{"set": ["A1"], "mass": [1, {"set": ["A1", "B2"], "mass": true}]}',
+             "bpas[0].masses[0].mass",
+             "mass [1, {'set': ['A1', 'B2'], 'mass': True}] on Theta is not a number"),
+            # ids of 300 distinct labels: the 257th is past a byte
+            (", ".join('{"set": ["L%d"], "mass": 0}' % i for i in range(300)),
+             "bpas[0].masses[0].set", "label 'L0' is not part of the frame"),
+        ],
+        ids=["two-unknown", "unknown-then-number", "empty-label", "mass-first",
+             "mass-first-not-array", "entry-in-mass", "many-labels"],
+    )
+    def test_entry_where_and_message(self, masses, where, message):
+        text = '{"frame": ["A1"], "bpas": [{"name": "m", "masses": [%s]}]}' % masses
+        with pytest.raises(ds.DocumentError) as info:
+            document.loads(text)
+        assert (info.value.where, info.value.message) == (where, message)
+
+    def test_entry_keys_in_either_order(self):
+        text = ('{"frame": ["A1", "A2"], "bpas": [{"name": "m", "masses": ['
+                '{"mass": 0.25, "set": ["A2", "A1"]},'
+                '{"set": ["A2"], "mass": 0.75}]}]}')
+        bpa = document.loads(text).bpa("m")
+        assert dict(bpa.items()) == {0b11: 0.25, 0b10: 0.75}
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ('{"set": ["A1"], "mass": 1}', "set",
+             "unknown key (expected 'frame', 'bpas')"),
+            ('{"frame": ["A1"], "bpas": [{"set": ["A1"], "mass": 1}]}', "bpas[0].set",
+             "unknown key (expected 'name', 'masses')"),
+            ('{"frame": [{"set": ["A1"], "mass": 1}], "bpas": []}', "frame[0]",
+             "expected a non-empty string"),
+            ('{"frame": ["A1"], "bpas": [{"name": "m", "masses": '
+             '{"set": ["A1"], "mass": 1}}]}', "bpas[0].masses", "expected an array"),
+        ],
+        ids=["root", "bpa", "frame-label", "masses"],
+    )
+    def test_entry_shaped_object_elsewhere(self, text, where, message):
+        """An object with exactly the keys of a mass entry, where the layout
+        expects something else, is reported as any other object."""
+        with pytest.raises(ds.DocumentError) as info:
+            document.loads(text)
+        assert (info.value.where, info.value.message) == (where, message)
+
     def test_mass_not_number(self):
         text = ('{"frame": ["A1"], "bpas": '
                 '[{"name": "m", "masses": [{"set": ["A1"], "mass": "x"}]}]}')

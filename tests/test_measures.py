@@ -14,6 +14,7 @@ import dsconflict as ds
 import oracles
 from dsconflict.measures import (
     _gram_blocks,
+    _gram_differences,
     _positive_definite,
     _song_inners,
     _song_sums,
@@ -359,6 +360,10 @@ class TestGramBlocks:
             for block in _gram_blocks(n)
         ]
         assert blocks == oracles.gram_blocks_beta(n)
+
+    def test_difference_table_equals_alternating_sum(self):
+        for n in range(1, ds.GRAM_MAX_FRAME + 1):
+            assert _gram_differences(n) == oracles.gram_differences(n), n
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_block_spectrum_equals_dense_spectrum(self, n):

@@ -1011,6 +1011,105 @@ class TestSongSums:
         assert ds.song_cor(m2, m1).hex() == ds.song_cor(m1, m2).hex()
 
 
+def _exact(value):
+    """A result with each float as its bits (-0.0 is not 0.0), nested dicts
+    and lists field by field."""
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    return value.hex() if type(value) is float else value
+
+
+def _results(m1: ds.MassFunction, m2: ds.MassFunction, into: ds.Frame):
+    """Every report field, Song's cor and the combination's k and masses of
+    the pair, the masks of the combination read in the frame ``into`` by
+    label."""
+    try:
+        result = ds.combine_dempster(m1, m2)
+    except ds.TotalConflictError:
+        combination = None
+    else:
+        labels = m1.frame.members
+        combination = [result.k, sorted(
+            (into.subset(labels(mask)), v) for mask, v in result.combined.items()
+        )]
+    return _exact({
+        "report": ds.conflict_report(m1, m2, 0.5).to_dict(),
+        "song_cor": ds.song_cor(m1, m2),
+        "combination": combination,
+    })
+
+
+def _moved(m: ds.MassFunction, frame: ds.Frame) -> ds.MassFunction:
+    """``m`` on ``frame``, each focal set by its labels."""
+    return ds.MassFunction(
+        frame, {frame.subset(m.frame.members(mask)): v for mask, v in m.items()}
+    )
+
+
+class TestRelabelling:
+    """Reordering the hypotheses of the frame changes no result by a bit:
+    the focal sets then come in another order, and every sum is correctly
+    rounded whatever the order of its terms."""
+
+    @given(wide_pairs(), st.data())
+    def test_results_bit_identical(self, pair, data):
+        m1, m2 = pair
+        turned = ds.make_frame(data.draw(st.permutations(m1.frame.labels)))
+        got = _results(_moved(m1, turned), _moved(m2, turned), m1.frame)
+        assert got == _results(m1, m2, m1.frame)
+
+
+class TestEmbedding:
+    """Hypotheses that no focal set holds change no result but Song's cor,
+    whose vectors run over every subset of the frame."""
+
+    @given(wide_pairs(sizes=st.integers(1, 62)), st.data())
+    def test_results_bit_identical_but_cor(self, pair, data):
+        m1, m2 = pair
+        n = m1.frame.size
+        extra = data.draw(st.integers(1, min(10, 63 - n)))
+        wider = ds.make_frame(LABEL_POOL[: n + extra])
+        got = _results(_moved(m1, wider), _moved(m2, wider), wider)
+        want = _results(m1, m2, wider)
+        for results in (got, want):
+            del results["song_cor"], results["report"]["cor"]
+        assert got == want
+
+
+#: texts that JSON escapes: quotes, backslashes, control and non-ASCII
+#: characters, one beyond the Basic Multilingual Plane
+_ODD_TEXTS = st.text(min_size=1, max_size=4) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "é", "\u2028", "\x00", "\x7f", "\U0001f600"]
+)
+
+#: masses that a BPA may hold besides its mass on the whole frame
+_SMALL_MASSES = st.sampled_from(
+    [5e-324, 0.1, 1e-300, 2.2250738585072014e-308, 1 / 30]
+) | st.floats(5e-324, 0.1)
+
+
+@st.composite
+def odd_documents(draw):
+    """Documents whose labels and names need escaping and whose masses
+    include subnormal and inexact values; the rest of each BPA's mass is on
+    the whole frame."""
+    labels = draw(st.lists(_ODD_TEXTS, min_size=1, max_size=8, unique=True))
+    frame = ds.make_frame(labels)
+    full = frame.full_mask
+    # every set but the whole frame, which takes the rest of the mass
+    others = st.lists(st.integers(1, full - 1), max_size=6, unique=True)
+    bpas = {}
+    for name in draw(st.lists(_ODD_TEXTS, max_size=3, unique=True)):
+        masks = draw(others) if full > 1 else []
+        masses = draw(st.lists(_SMALL_MASSES, min_size=len(masks), max_size=len(masks)))
+        focal = dict(zip(masks, masses))
+        focal[full] = 1.0 - math.fsum(masses)
+        bpas[name] = ds.MassFunction(frame, focal)
+    return ds.BpaDocument(frame, bpas)
+
+
 class TestDocumentRoundTrip:
     @given(bpa_pairs())
     def test_dumps_loads_identity(self, pair):
@@ -1020,6 +1119,26 @@ class TestDocumentRoundTrip:
         assert again.frame == m1.frame
         assert ds.bpa_equal(again.bpa("m1"), m1, tol=0.0)
         assert ds.bpa_equal(again.bpa("m2"), m2, tol=0.0)
+
+    @given(odd_documents())
+    def test_dumps_is_json_dumps_of_the_payload(self, doc):
+        payload = {
+            "frame": list(doc.frame.labels),
+            "bpas": [
+                {
+                    "name": name,
+                    "masses": [
+                        {"set": list(doc.frame.members(mask)), "mass": value}
+                        for mask, value in bpa.items()
+                    ],
+                }
+                for name, bpa in doc.bpas.items()
+            ],
+        }
+        text = ds.dumps_document(doc)
+        assert text == json.dumps(payload) + "\n"
+        again = ds.loads_document(text)
+        assert again.frame == doc.frame and again.names == doc.names
 
 
 def _assert_valid(m: ds.MassFunction) -> None:
@@ -1249,13 +1368,21 @@ def cli_calls(draw):
     """An argv for one of the four commands, each option present or not,
     with arbitrary values, and the bytes of its ``--input``: arbitrary, a
     well-shaped document with arbitrary values, or a valid one.  The paths
-    of ``--input`` and ``--output`` are relative, as :class:`PurePath`."""
+    of ``--input`` and ``--output`` are relative, as :class:`PurePath`.  An
+    option other than ``--output`` may also be ``--opt=--``, which argparse
+    reads as no value at all (``--input=--`` names a file "--" in the
+    working directory)."""
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     argv = [command]
     for option, values in _OPTIONS[command].items():
         if draw(st.integers(0, 7)):  # mostly present
             value = draw(values)
-            argv += value if isinstance(value, tuple) else (option, value)
+            if isinstance(value, tuple):
+                argv += value
+            elif draw(st.integers(0, 7)):
+                argv += (option, value)
+            else:  # argparse reads this as no value at all
+                argv.append(f"{option}=--")
     output = draw(st.sampled_from([None, None, "out.txt", "missing/out.txt", "."]))
     if output is not None:
         argv += ["--output", PurePath(output)]
