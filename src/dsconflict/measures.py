@@ -18,11 +18,13 @@ extraction of their shares and one 0/1 matrix product per level
 :func:`song_cor` is defined over the whole power set, but its inner products
 depend on each focal pair only through four set sizes, so they are
 closed-form sums over focal pairs and work at every frame size.  The sum
-over subsets for one signature of set sizes is evaluated once per call,
-over its own row of terms, so it does not depend on the other signatures of
-the call, and nothing is kept between calls.  The Gram matrix check never
-forms a power-set matrix either: it decides the frame's symmetry blocks
-exactly, in integers, and is capped by time only.
+over subsets for one signature of set sizes depends on the frame size and
+the signature alone, so the first call on an n-hypothesis frame builds a
+table of it for every signature of that size, each summed over its own row
+of terms (:func:`_song_table`), and keeps it for the process: about 1-3 ms
+and 3-17 KB up to 24 hypotheses, 34 ms and 0.2 MB at 63.  The Gram matrix
+check never forms a power-set matrix either: it decides the frame's
+symmetry blocks exactly, in integers, and is capped by time only.
 """
 
 from __future__ import annotations
@@ -80,18 +82,19 @@ CLAMP_TOL = 1e-12
 
 #: conflict_report computes ``cor`` only up to this frame size, although
 #: song_cor itself works on any frame.  On 30-63 hypotheses with 100-200 focal
-#: sets per BPA, cor costs about 2.1 to 2.4 times a report plus a combination
-#: (4.8-5.5 ms against 2.3 ms per pair; means over the 13 pairs of each of 3
-#: seeds of the best of 9, the two timed in turn, in the quietest of four
-#: runs on a 2-core x86-64 host), so it would more than triple the cost of a
-#: report, and stays out of the report until a kernel fused with the
-#: focal-pair terms pays for it.
+#: sets per BPA, cor costs about 0.85 times a report plus a combination once
+#: the frame size's table of S is built (1.2 ms against 1.4 ms per pair; means
+#: over the 13 pairs of each of 3 seeds of the best of 9, on a 2-core x86-64
+#: host), but the first cor on a frame size builds that table: 10-16 ms per
+#: pair on average over those frames, 34 ms at 63 hypotheses in a fresh
+#: process, about a quarter of a CLI run on such a frame.  So cor stays out
+#: of the wide report until that build is budgeted or made cheaper.
 SONG_COR_MAX_FRAME = 24
 
 #: gram_positive_definite checks frames up to this size.  Its time grows
-#: about as N^6: on a 2-core x86-64 host the check takes about 0.6 s here,
-#: 0.9 s at 54 and 2.4 s at 63, so the cap keeps it inside a 1 s budget on a
-#: host up to 1.5 times slower.
+#: about as N^6: on a 2-core x86-64 host the check takes about 0.3 s here,
+#: 0.5 s at 54 and 1.4 s at 63, so the cap keeps it inside a 1 s budget on a
+#: host up to 3 times slower.
 GRAM_MAX_FRAME = 50
 
 
@@ -405,24 +408,17 @@ def _song_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _song_sums(keys: np.ndarray, n: int) -> np.ndarray:
-    """S for each signature key (p * (n + 1) + j) * (n + 1) + k, j <= k, on
-    an n-hypothesis frame (see :func:`_song_inners`).
+def _song_sums(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """S for each signature (p, lo, hi), lo <= hi and p + lo + hi <= n, on an
+    n-hypothesis frame (see :func:`_song_inners`).
 
-    The distinct keys are marked in the key space and taken with
-    ``flatnonzero``.  Each is evaluated once, as one sum over its own row
-    e = 0..r, so S depends on (n, p, j, k) alone, never on the other keys
-    of the call, and then gathered back by key.
+    Each signature is evaluated as one sum over its own row e = 0..r, so S
+    depends on (n, p, lo, hi) alone, never on the other signatures of the
+    call.
     """
-    size = n + 1
-    mark = np.zeros(size**3, bool)
-    mark[keys] = True
-    sigs = np.flatnonzero(mark)
-    pj, hi = np.divmod(sigs, size)
-    p, lo = np.divmod(pj, size)
     width = n - p - lo - hi + 1  # e = 0..r
     starts = np.cumsum(width) - width
-    row = np.repeat(np.arange(len(sigs)), width)
+    row = np.repeat(np.arange(len(p)), width)
     e = np.arange(len(row)) - starts[row]
     binom, t0, t1 = _song_tables(n)
     p0, p1, p2 = np.ldexp(1.0, p), np.ldexp(p, p - 1), np.ldexp(p * (p + 1), p - 2)
@@ -433,9 +429,44 @@ def _song_sums(keys: np.ndarray, n: int) -> np.ndarray:
     blocks = binom[(width - 1)[row], e] * (
         p2[row] * a0 * c0 + p1[row] * (a1 * c0 + a0 * c1) + p0[row] * a1 * c1
     )
-    sums = np.empty(size**3)
-    sums[sigs] = np.add.reduceat(blocks, starts)
-    return sums[keys]
+    return np.add.reduceat(blocks, starts)
+
+
+#: Terms of S that :func:`_song_table` evaluates at once, which bounds the
+#: live arrays of its build to a few MB at every frame size.
+_SONG_CHUNK = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _song_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """S for every signature of an n-hypothesis frame, and where each is:
+    S(p, lo, hi) is ``table[base[lo, hi] + p]`` for lo <= hi, lo + hi <= n
+    and p = 0..n - lo - hi, one run of p per (lo, hi), about a twelfth of
+    the (n + 1)^3 key space.  The entries with p + lo = 0, an empty focal
+    set, are never read.
+
+    The signatures are evaluated by :func:`_song_sums` in chunks of at most
+    about :data:`_SONG_CHUNK` terms; each S is summed over its own row, so
+    it is the same float in any chunk.
+    """
+    lo, hi = np.triu_indices(n + 1)  # lo <= hi
+    keep = lo + hi <= n
+    lo, hi = lo[keep], hi[keep]
+    runs = n - lo - hi + 1  # p = 0..n - lo - hi
+    base = np.zeros((n + 1, n + 1), np.intp)
+    base[lo, hi] = np.cumsum(runs) - runs
+    p = np.arange(runs.sum()) - np.repeat(base[lo, hi], runs)
+    lo, hi = np.repeat(lo, runs), np.repeat(hi, runs)
+    # each signature's row of terms goes whole into one chunk
+    chunk = (np.cumsum(n - p - lo - hi + 1) - 1) // _SONG_CHUNK
+    cuts = np.flatnonzero(np.diff(chunk)) + 1
+    table = np.concatenate([
+        _song_sums(*sigs, n)
+        for sigs in zip(*(np.split(a, cuts) for a in (p, lo, hi)))
+    ])
+    for array in (base, table):  # cached and shared by every caller
+        array.flags.writeable = False
+    return base, table
 
 
 def _song_inners(x: _Focal, y: _Focal, n: int) -> tuple[float, float, float]:
@@ -451,21 +482,28 @@ def _song_inners(x: _Focal, y: _Focal, n: int) -> tuple[float, float, float]:
     P1 = p 2^(p-1), P2 = p (p + 1) 2^(p-2); for each e the a-sum and the
     c-sum then factor apart into table lookups, so S costs O(r).
 
-    The keys of all three products come from one square over the focal sets
-    of x and y together.  Each distinct signature is evaluated once
-    (:func:`_song_sums`), keyed with j <= k, so swapping x and y swaps no
-    bits of the result, and S is the same float whichever other signatures
-    share the call.
+    The signatures of all three products come from one square over the
+    focal sets of x and y together, each taken as (p, min(j, k), max(j, k)),
+    so swapping x and y swaps no bits of the result.  S is gathered from the
+    frame size's table (:func:`_song_table`), built from O(n^4) terms by the
+    first call on an n-hypothesis frame and kept for the process, so every
+    call on that frame reads the same float for a signature.  The counts are
+    ``uint8`` squares; the table offsets, the gathered S and the products
+    are the only squares of 8-byte entries.
     """
-    size = n + 1
+    base, table = _song_table(n)
     count = len(x[0])
-    both = np.concatenate((x[0], y[0])), np.concatenate((x[1], y[1]))
-    inter, terms = _pair_terms(both, both)
-    card = np.bitwise_count(both[0]).astype(np.intp)
-    p = np.bitwise_count(inter).astype(np.intp)
-    lo = np.minimum.outer(card, card) - p
-    hi = np.maximum.outer(card, card) - p
-    terms *= _song_sums(((p * size + lo) * size + hi).ravel(), n).reshape(p.shape)
+    masks, weights = np.concatenate((x[0], y[0])), np.concatenate((x[1], y[1]))
+    card = np.bitwise_count(masks)  # uint8, as are p, lo and hi
+    p = np.bitwise_count(np.bitwise_and.outer(masks, masks))
+    lo = np.minimum.outer(card, card)
+    lo -= p
+    hi = np.maximum.outer(card, card)
+    hi -= p
+    at = base[lo, hi]
+    at += p
+    terms = np.multiply.outer(weights, weights)  # the products a pair loop gives
+    terms *= table[at]
     return (
         _fsum(terms[:count, count:]),
         _fsum(terms[:count, :count]),

@@ -18,9 +18,11 @@ def random_frame(rng: random.Random, min_size: int = 1, max_size: int = 8) -> Fr
     return make_frame(LABEL_POOL[: rng.randint(min_size, max_size)])
 
 
-def random_bpa(rng: random.Random, frame: Frame, max_focals: int = 5) -> MassFunction:
+def random_bpa(
+    rng: random.Random, frame: Frame, max_focals: int = 5, min_focals: int = 1
+) -> MassFunction:
     space = (1 << frame.size) - 1
-    count = rng.randint(1, min(max_focals, space))
+    count = rng.randint(min(min_focals, space), min(max_focals, space))
     masks = rng.sample(range(1, space + 1), count)
     weights = [rng.randint(1, 99) for _ in masks]
     total = float(sum(weights))
@@ -35,6 +37,26 @@ def random_pair(
 ) -> tuple[MassFunction, MassFunction]:
     frame = random_frame(rng, min_size, max_size)
     return random_bpa(rng, frame, max_focals), random_bpa(rng, frame, max_focals)
+
+
+def song_golden_pairs(
+    small: int = 300, wide: int = 10
+) -> list[tuple[MassFunction, MassFunction]]:
+    """The pairs of Song's golden record: ``small`` pairs over 1-24
+    hypotheses with 2-30 focal sets each (fewer where the frame has fewer
+    nonempty subsets), then ``wide`` pairs over 30-63 hypotheses with
+    100-200 focal sets each."""
+    rng = random.Random("song-golden")
+    pairs = []
+    for sizes, focals in [((1, 24), (2, 30))] * small + [((30, 63), (100, 200))] * wide:
+        frame = random_frame(rng, *sizes)
+        pairs.append(
+            (
+                random_bpa(rng, frame, focals[1], focals[0]),
+                random_bpa(rng, frame, focals[1], focals[0]),
+            )
+        )
+    return pairs
 
 
 def submasks(region: int) -> list[int]:

@@ -1,5 +1,6 @@
 """Unit tests for the pairwise measures, pinned to reference values."""
 
+import json
 import math
 import pathlib
 import random
@@ -18,7 +19,9 @@ from dsconflict.measures import (
     _positive_definite,
     _song_inners,
     _song_sums,
+    _song_table,
 )
+import song_golden
 from generators import random_bpa
 
 
@@ -278,54 +281,76 @@ class TestSongClosedForm:
 
 
 def song_signatures(n):
-    """Every (p, j, k) with j <= k of two nonempty subsets of an n-frame,
-    and its key (p * (n + 1) + j) * (n + 1) + k."""
+    """Every (p, lo, hi) with lo <= hi of two nonempty subsets of an
+    n-frame, as a list and as three intp arrays."""
     size = n + 1
     sigs = [
-        (p, j, k)
+        (p, lo, hi)
         for p in range(size)
-        for j in range(size - p)
-        for k in range(j, size - p - j)
-        if p + j  # A, and so C, nonempty
+        for lo in range(size - p)
+        for hi in range(lo, size - p - lo)
+        if p + lo  # A, and so C, nonempty
     ]
-    keys = np.array([(p * size + j) * size + k for p, j, k in sigs], np.intp)
-    return sigs, keys
+    return sigs, tuple(np.array(column, np.intp) for column in zip(*sigs))
+
+
+def song_entries(sigs, n):
+    """The entries of :func:`_song_table` for the signatures ``sigs``."""
+    base, table = _song_table(n)
+    return [table[base[lo, hi] + p] for p, lo, hi in sigs]
 
 
 class TestSongSums:
-    """S by signature: exact, and the same float whichever other signatures
-    share its call."""
+    """S by signature, from one table per frame size: exact, and the same
+    float as the signature evaluated alone, whatever chunk of the table's
+    build it falls in."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_signature_matches_exact_oracle(self, n):
-        sigs, keys = song_signatures(n)
-        got = _song_sums(keys, n)
-        for s, (p, j, k) in zip(got.tolist(), sigs):
-            want = oracles.song_block_sum(p, j, k, n - p - j - k)
+        sigs, _ = song_signatures(n)
+        for s, (p, lo, hi) in zip(song_entries(sigs, n), sigs):
+            want = oracles.song_block_sum(p, lo, hi, n - p - lo - hi)
             assert abs(Fraction(s) - want) <= Fraction(1, 10**13) * want
 
     def test_sample_at_63_matches_exact_oracle(self):
-        sigs, keys = song_signatures(63)
-        chosen = random.Random("song-table:63").sample(range(len(sigs)), 12)
-        got = _song_sums(keys[chosen], 63)
-        for s, i in zip(got.tolist(), chosen):
-            p, j, k = sigs[i]
-            want = oracles.song_block_sum(p, j, k, 63 - p - j - k)
+        sigs, _ = song_signatures(63)
+        chosen = random.Random("song-table:63").sample(sigs, 12)
+        for s, (p, lo, hi) in zip(song_entries(chosen, 63), chosen):
+            want = oracles.song_block_sum(p, lo, hi, 63 - p - lo - hi)
             assert abs(Fraction(s) - want) <= Fraction(1, 10**13) * want
 
-    @pytest.mark.parametrize("n", [7, 20, 63])
+    @pytest.mark.parametrize("n", [7, 20, 40, 63])
     def test_alone_equals_in_a_batch(self, n):
-        sigs, keys = song_signatures(n)
-        batch = _song_sums(keys, n)
-        for i in random.Random(f"song-alone:{n}").sample(range(len(sigs)), 40):
-            assert _song_sums(keys[i : i + 1], n)[0] == batch[i], sigs[i]
+        # 40 and 63 are built in several chunks; every entry is checked
+        sigs, _ = song_signatures(n)
+        for s, (p, lo, hi) in zip(song_entries(sigs, n), sigs):
+            alone = _song_sums(*(np.array([v]) for v in (p, lo, hi)), n)
+            assert alone[0] == s, (p, lo, hi)
 
     def test_repeated_and_reordered_keys(self):
-        sigs, keys = song_signatures(9)
-        first = _song_sums(keys[::3], 9)
-        again = _song_sums(np.concatenate((keys, keys[::-1])), 9)
-        assert np.array_equal(again[: len(keys)][::3], first)
-        assert np.array_equal(again[len(keys) :], again[: len(keys)][::-1])
+        sigs, (p, lo, hi) = song_signatures(9)
+        table = np.array(song_entries(sigs, 9))
+        shuffled = (np.concatenate((a, a[::-1], a[::3])) for a in (p, lo, hi))
+        again = _song_sums(*shuffled, 9)
+        want = np.concatenate((table, table[::-1], table[::3]))
+        assert again.tobytes() == want.tobytes()
+
+    def test_fresh_pair_on_a_built_frame_size(self):
+        rng = random.Random("song-table:fresh")
+        frame = ds.make_frame(f"h{i}" for i in range(17))
+        ds.song_cor(random_bpa(rng, frame, 8), random_bpa(rng, frame, 8))
+        misses = _song_table.cache_info().misses
+        ds.song_cor(random_bpa(rng, frame, 30), random_bpa(rng, frame, 30))
+        assert _song_table.cache_info().misses == misses
+
+
+class TestSongGolden:
+    def test_matches_record(self):
+        want = json.loads(song_golden.PATH.read_text())
+        got = song_golden.records()
+        assert len(got) == len(want)
+        differ = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert not differ, f"{len(differ)} records differ, the first at {differ[:5]}"
 
 
 class TestGram:

@@ -36,7 +36,12 @@ from dsconflict.fusion import (
     _segment_sums,
     _self_terms,
 )
-from dsconflict.measures import _PairForms, _positive_definite, _song_sums
+from dsconflict.measures import (
+    _PairForms,
+    _positive_definite,
+    _song_sums,
+    _song_table,
+)
 from generators import LABEL_POOL
 
 
@@ -982,32 +987,33 @@ class TestSongCor:
         assert 0.0 <= value <= 1.0
 
 
-def song_keys(m1: ds.MassFunction, m2: ds.MassFunction) -> np.ndarray:
-    """The key (p * (n + 1) + j) * (n + 1) + k, j <= k, of the signature of
-    every focal pair of m1 and m2, counted on Python ints."""
-    size = m1.frame.size + 1
-    keys = []
+def song_signatures(m1: ds.MassFunction, m2: ds.MassFunction) -> list[tuple]:
+    """The signature (|A & C|, lo, hi), lo <= hi the sizes of A - C and
+    C - A, of every focal pair of m1 and m2, counted on Python ints."""
+    sigs = []
     for a in m1.focal:
         for c in m2.focal:
             p = (a & c).bit_count()
-            j, k = sorted((a.bit_count() - p, c.bit_count() - p))
-            keys.append((p * size + j) * size + k)
-    return np.array(keys, np.intp)
+            sigs.append((p, *sorted((a.bit_count() - p, c.bit_count() - p))))
+    return sigs
 
 
 class TestSongSums:
-    """S for a signature is the same float whichever other signatures share
-    its call, and cor does not depend on the order of its arguments."""
+    """S for a signature is the same float alone, in a batch with other
+    signatures and in the frame size's table, and cor does not depend on
+    the order of its arguments."""
 
     @given(wide_pairs(), st.data())
     def test_same_bits_alone_in_a_batch_and_swapped(self, pair, data):
         m1, m2 = pair
         n = m1.frame.size
         others = data.draw(st.lists(wide_pairs(sizes=st.just(n)), min_size=1, max_size=4))
-        keys = song_keys(m1, m2)
-        batch = np.concatenate([keys] + [song_keys(*other) for other in others])
-        alone = _song_sums(keys, n)
-        assert _song_sums(batch, n)[: len(keys)].tobytes() == alone.tobytes()
+        sigs = song_signatures(m1, m2)
+        batch = sigs + [sig for other in others for sig in song_signatures(*other)]
+        alone = _song_sums(*np.array(sigs, np.intp).T, n).tobytes()
+        assert _song_sums(*np.array(batch, np.intp).T, n)[: len(sigs)].tobytes() == alone
+        base, table = _song_table(n)
+        assert np.array([table[base[lo, hi] + p] for p, lo, hi in sigs]).tobytes() == alone
         assert ds.song_cor(m2, m1).hex() == ds.song_cor(m1, m2).hex()
 
 
